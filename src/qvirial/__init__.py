@@ -19,8 +19,6 @@ from .errors import (
 )
 from .exact import (
     DecimalBackend,
-    RATIONAL,
-    RationalBackend,
     SURD,
     SurdBackend,
     SurdRational,
@@ -85,11 +83,9 @@ __all__ = [
     "half_power",
     "SurdRational",
     "TruncPoly",
-    "RationalBackend",
     "SurdBackend",
     "TruncPolyBackend",
     "DecimalBackend",
-    "RATIONAL",
     "SURD",
     "is_zero",
     "to_decimal",

@@ -2,8 +2,8 @@
 sweeps, and the published-anchor consistency report.
 
 Exit codes: 0 success, 2 argument/descriptor/validation error, 3 value not
-representable on the requested backend.  Output is byte-identical across
-repeated runs (and across --jobs settings for sweeps).
+representable on the requested backend.  Any other exception is a bug and
+propagates.  Output is byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -11,16 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    DescriptorError,
-    UnboundVariableError,
-    UnsupportedBackendError,
-)
+from .errors import QVirialError, UnboundVariableError, UnsupportedBackendError
 from .exact import (
     Backend,
     DecimalBackend,
@@ -40,6 +35,7 @@ from .structfn import (
     Quadratic,
     QuadraticOfQBasic,
     UNDEFORMED,
+    _parse_rational,
     eval_eps,
     monomial_expansion,
     parse_descriptor,
@@ -66,27 +62,17 @@ class UsageError(ValueError):
 # --------------------------------------------------------------------------
 
 
-def _render_exact(value) -> str:
-    if isinstance(value, (SurdRational, TruncPoly)):
-        return value.render()
-    return str(value)
+def _value_columns(name: str, backend: Backend) -> list[str]:
+    return [f"{name}_decimal"] + ([f"{name}_exact"] if backend.is_exact else [])
 
 
-def _render_decimal(value) -> str:
+def _value_cells(value, backend: Backend) -> list[str]:
+    """The decimal cell of a value, then its exact cell on an exact backend."""
     if isinstance(value, TruncPoly):
-        if not value.coeffs:
-            return "(" + to_decimal(Fraction(0), DECIMAL_PLACES) + ")"
-        parts = []
-        for expo, coeff in value.coeffs.items():
-            factors = [f"({to_decimal(coeff, DECIMAL_PLACES)})"]
-            for var, e in zip(value.variables, expo):
-                if e == 1:
-                    factors.append(var)
-                elif e > 1:
-                    factors.append(f"{var}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-    return to_decimal(value, DECIMAL_PLACES)
+        decimal = value.render(lambda coeff: to_decimal(coeff, DECIMAL_PLACES))
+    else:
+        decimal = to_decimal(value, DECIMAL_PLACES)
+    return [decimal, str(value)] if backend.is_exact else [decimal]
 
 
 def _format_table(fmt: str, meta: dict[str, str], columns: list[str], rows: list[list[str]]) -> str:
@@ -143,6 +129,18 @@ def _resolve_backend(sf, requested: Backend) -> Backend:
     return requested
 
 
+def _model(sf, args, backend: Backend, **params) -> GasModel:
+    """The command line's gas model, with `params` replacing parameters of `sf`.
+
+    A value the model rejects (a truncation order below 2, a sweep reaching
+    q = 1) came from the user, so it is a usage error.
+    """
+    try:
+        return GasModel(replace(sf, **params), order=args.order, backend=backend)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
     meta = {
         "command": args.command,
@@ -171,15 +169,9 @@ def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
 def cmd_virial(args) -> tuple[str, int]:
     sf = parse_descriptor(args.sf)
     backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    table = virial_coefficients(GasModel(sf, order=args.order, backend=backend))
-    exact_column = backend.is_exact
-    columns = ["k", "V_k_decimal"] + (["V_k_exact"] if exact_column else [])
-    rows = []
-    for k, value in table:
-        row = [str(k), _render_decimal(value)]
-        if exact_column:
-            row.append(_render_exact(value))
-        rows.append(row)
+    table = virial_coefficients(_model(sf, args, backend))
+    columns = ["k"] + _value_columns("V_k", backend)
+    rows = [[str(k)] + _value_cells(value, backend) for k, value in table]
     meta = _model_meta(args, sf, backend, table)
     return _format_table(args.format, meta, columns, rows), 0
 
@@ -187,21 +179,18 @@ def cmd_virial(args) -> tuple[str, int]:
 def cmd_series(args) -> tuple[str, int]:
     sf = parse_descriptor(args.sf)
     backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    model = GasModel(sf, order=args.order, backend=backend)
+    model = _model(sf, args, backend)
     dumps: list[tuple[str, PowerSeries]] = [
         ("particle", particle_series(model)),
         ("pressure", pressure_series(model)),
         ("fugacity", fugacity_of_density(model)),
     ]
-    exact_column = backend.is_exact
-    columns = ["series", "var", "n", "c_n_decimal"] + (["c_n_exact"] if exact_column else [])
-    rows = []
-    for name, series in dumps:
-        for n, value in enumerate(series.coeffs):
-            row = [name, series.var, str(n), _render_decimal(value)]
-            if exact_column:
-                row.append(_render_exact(value))
-            rows.append(row)
+    columns = ["series", "var", "n"] + _value_columns("c_n", backend)
+    rows = [
+        [name, series.var, str(n)] + _value_cells(value, backend)
+        for name, series in dumps
+        for n, value in enumerate(series.coeffs)
+    ]
     meta = _model_meta(args, sf, backend)
     return _format_table(args.format, meta, columns, rows), 0
 
@@ -219,8 +208,7 @@ def cmd_eps_expand(args) -> tuple[str, int]:
         rows = []
         for i in range(args.expansion_order + 1):
             coeff = poly.coefficient((i,))
-            value = coeff.rational_part() if not coeff.is_zero() else Fraction(0)
-            rows.append([str(i), str(value)])
+            rows.append([str(i), str(coeff.rational_part())])
         return _format_table(args.format, meta, columns, rows), 0
     table = monomial_expansion(args.expansion_order, args.expansion_order + 1)
     columns = ["N_power", "eps_power", "coefficient"]
@@ -267,10 +255,7 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
     if not sep or len(parts) != 3:
         raise UsageError(f"bad sweep {text!r}; expected <param>=<start>:<stop>:<step>")
     param = head.strip()
-    try:
-        start, stop, step = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad sweep bounds in {text!r}") from exc
+    start, stop, step = (_parse_rational(p) for p in parts)
     if step == 0:
         raise UsageError("sweep step must be nonzero")
     values = []
@@ -291,38 +276,25 @@ def cmd_sweep(args) -> tuple[str, int]:
     if not allowed:
         raise UsageError(f"{sf.describe()} has no sweepable parameters")
     sweeps = [_parse_sweep_flag(text) for text in args.sweep]
-    for param, _ in sweeps:
+    param_names = [param for param, _ in sweeps]
+    for param in param_names:
         if param not in allowed:
             raise UsageError(f"{param!r} is not a parameter of {sf.describe()} (has {allowed})")
-    if len({param for param, _ in sweeps}) != len(sweeps):
+    if len(set(param_names)) != len(param_names):
         raise UsageError("each parameter can be swept only once")
     backend = _parse_backend_flag(args.backend)
 
     grid: list[tuple[Fraction, ...]] = [()]
     for _, values in sweeps:
         grid = [point + (v,) for point in grid for v in values]
+    models = [_model(sf, args, backend, **dict(zip(param_names, point))) for point in grid]
 
-    def run(point: tuple[Fraction, ...]):
-        variant = replace(sf, **{param: value for (param, _), value in zip(sweeps, point)})
-        table = virial_coefficients(GasModel(variant, order=args.order, backend=backend))
-        return point, table
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, grid))
-    else:
-        results = [run(point) for point in grid]
-
-    exact_column = backend.is_exact
-    param_names = [param for param, _ in sweeps]
-    columns = param_names + ["k", "V_k_decimal"] + (["V_k_exact"] if exact_column else [])
-    rows = []
-    for point, table in results:
-        for k, value in table:
-            row = [str(v) for v in point] + [str(k), _render_decimal(value)]
-            if exact_column:
-                row.append(_render_exact(value))
-            rows.append(row)
+    columns = param_names + ["k"] + _value_columns("V_k", backend)
+    rows = [
+        [str(v) for v in point] + [str(k)] + _value_cells(value, backend)
+        for point, model in zip(grid, models)
+        for k, value in virial_coefficients(model)
+    ]
     meta = {
         "command": "sweep",
         "sf": sf.describe(),
@@ -594,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep, model_flags=True)
     p_sweep.add_argument("--sweep", action="append", default=[],
                          help="<param>=<start>:<stop>:<step> (repeatable; rationals)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads (output is order-stable)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_check = sub.add_parser("check-paper", help="re-derive the published closed-form anchors and report misprints")
@@ -610,15 +581,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = args.handler(args)
-    except (DescriptorError, UsageError) as exc:
-        print(f"qvirial: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"qvirial: error: {exc}", file=sys.stderr)
-        return 2
     except (UnsupportedBackendError, UnboundVariableError) as exc:
         print(f"qvirial: backend error: {exc}", file=sys.stderr)
         return 3
+    except (QVirialError, UsageError) as exc:
+        print(f"qvirial: error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

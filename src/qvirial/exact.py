@@ -2,7 +2,6 @@
 
 Every series in this package is generic over one scalar backend:
 
-  rational   fractions.Fraction
   surd       SurdRational -- finite sums  sum_r c_r*sqrt(r)  with rational c_r
              and square-free radicands r.  The ring is closed under addition
              and multiplication, and under division by nonzero rationals,
@@ -26,12 +25,11 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, ClassVar, Mapping, Union
 
 from .errors import (
     MixedBackendError,
     UnboundVariableError,
-    UnsupportedBackendError,
     ZeroLinearCoefficientError,
 )
 
@@ -41,11 +39,9 @@ __all__ = [
     "SurdRational",
     "TruncPoly",
     "Scalar",
-    "RationalBackend",
     "SurdBackend",
     "TruncPolyBackend",
     "DecimalBackend",
-    "RATIONAL",
     "SURD",
     "is_zero",
     "to_decimal",
@@ -440,40 +436,38 @@ class TruncPoly:
         unknown = set(values) - set(self._vars)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        remaining = tuple(v for v in self._vars if v not in values)
-        subst: dict[str, SurdRational] = {}
-        for name, val in values.items():
-            subst[name] = val if isinstance(val, SurdRational) else SurdRational.from_fraction(val)
-        if remaining:
-            keep_bounds = tuple(b for v, b in zip(self._vars, self._bounds) if v not in values)
-            acc_poly: dict[tuple[int, ...], SurdRational] = {}
-            for expo, c in self._coeffs.items():
-                factor = c
-                kept: list[int] = []
-                for v, e in zip(self._vars, expo):
-                    if v in subst:
-                        factor = factor * (subst[v] ** e)
-                    else:
-                        kept.append(e)
-                key = tuple(kept)
-                prev = acc_poly.get(key)
-                acc_poly[key] = factor if prev is None else prev + factor
-            return TruncPoly(remaining, keep_bounds, acc_poly)
-        acc = SurdRational()
+        subst = {
+            name: val if isinstance(val, SurdRational) else SurdRational.from_fraction(val)
+            for name, val in values.items()
+        }
+        acc: dict[tuple[int, ...], SurdRational] = {}
         for expo, c in self._coeffs.items():
-            factor = c
+            kept: list[int] = []
             for v, e in zip(self._vars, expo):
-                factor = factor * (subst[v] ** e)
-            acc = acc + factor
-        return acc
+                if v in subst:
+                    c = c * (subst[v] ** e)
+                else:
+                    kept.append(e)
+            key = tuple(kept)
+            acc[key] = acc[key] + c if key in acc else c
+        remaining = tuple(v for v in self._vars if v not in subst)
+        if not remaining:
+            return acc.get((), SurdRational())
+        keep_bounds = tuple(b for v, b in zip(self._vars, self._bounds) if v not in subst)
+        return TruncPoly(remaining, keep_bounds, acc)
 
-    def render(self) -> str:
-        """Canonical text form: '(c00) + (c10)*eps + (c01)*mu + ...' in exponent order."""
-        if not self._coeffs:
+    def render(self, coeff_fmt: Callable[[SurdRational], str] | None = None) -> str:
+        """Canonical text form: '(c00) + (c10)*eps + (c01)*mu + ...' in exponent order.
+
+        `coeff_fmt` renders each coefficient in place of the exact form; with
+        it, the zero polynomial renders as its one zero coefficient, '(0...)'.
+        """
+        if not self._coeffs and coeff_fmt is None:
             return "0"
+        fmt = coeff_fmt or SurdRational.render
         parts = []
-        for expo, c in self._coeffs.items():
-            factors = [f"({c.render()})"]
+        for expo, c in (self._coeffs or {(0,) * len(self._vars): SurdRational()}).items():
+            factors = [f"({fmt(c)})"]
             for v, e in zip(self._vars, expo):
                 if e == 1:
                     factors.append(v)
@@ -504,49 +498,10 @@ def is_zero(scalar: Scalar) -> bool:
 
 
 @dataclass(frozen=True)
-class RationalBackend:
-    """Plain Fraction scalars.  Hosts structure-function values and test series."""
-
-    name: str = "rational"
-    is_exact: bool = True
-
-    def arith(self):
-        return nullcontext()
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_fraction(self, value) -> Fraction:
-        return Fraction(value)
-
-    def half_power(self, n: int, k: int) -> Fraction:
-        s, r = radical_normalize(n)
-        if r != 1:
-            raise UnsupportedBackendError(
-                f"{n}**(-{k}/2) is irrational; use the surd or decimal backend"
-            )
-        return Fraction(s, n ** ((k + 1) // 2))
-
-    def invert_unit(self, scalar: Fraction) -> Fraction:
-        if not scalar:
-            raise ZeroLinearCoefficientError("cannot invert zero")
-        return Fraction(1) / scalar
-
-    def describe(self) -> str:
-        return "rational"
-
-
-@dataclass(frozen=True)
 class SurdBackend:
     """SurdRational scalars: the default exact backend for all series work."""
 
-    name: str = "surd"
-    is_exact: bool = True
+    is_exact: ClassVar[bool] = True
 
     def arith(self):
         return nullcontext()
@@ -584,8 +539,7 @@ class TruncPolyBackend:
 
     variables: tuple[str, ...]
     bounds: tuple[int, ...]
-    name: str = "truncpoly"
-    is_exact: bool = True
+    is_exact: ClassVar[bool] = True
 
     def arith(self):
         return nullcontext()
@@ -629,8 +583,7 @@ class DecimalBackend:
     """decimal.Decimal scalars at `digits` significant digits (+ guard digits)."""
 
     digits: int = 50
-    name: str = "decimal"
-    is_exact: bool = False
+    is_exact: ClassVar[bool] = False
 
     def __post_init__(self):
         if self.digits < 1:
@@ -670,10 +623,9 @@ class DecimalBackend:
         return f"decimal:{self.digits}"
 
 
-RATIONAL = RationalBackend()
 SURD = SurdBackend()
 
-Backend = Union[RationalBackend, SurdBackend, TruncPolyBackend, DecimalBackend]
+Backend = Union[SurdBackend, TruncPolyBackend, DecimalBackend]
 
 
 # --------------------------------------------------------------------------

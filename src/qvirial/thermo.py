@@ -20,7 +20,6 @@ where the reversion algebra forces +2*phi(3)**2/3**5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import UnsupportedOrderError
@@ -128,12 +127,8 @@ def _first_nonpositive_phi(model: GasModel) -> int | None:
     for n in range(1, model.order + 1):
         value = eval_structure(model.sf, n, model.backend)
         if isinstance(value, SurdRational):
-            nonpositive = value.is_zero() or value.rational_part() <= 0
-        elif isinstance(value, Decimal):
-            nonpositive = value <= 0
-        else:
-            nonpositive = value <= 0
-        if nonpositive:
+            value = value.rational_part()
+        if value <= 0:
             return n
     return None
 

@@ -1,0 +1,52 @@
+"""The benchmark's per-layer contract: every declared per-layer metric is
+measured on an exact and on a decimal job.
+
+perfbench/tracing.py wraps qvirial's layer functions at the names their
+callers look them up by.  A change that stops calling one of them (say,
+virial extraction without `compose`) leaves a declared metric absent, and the
+benchmark then rejects its own output.  Each job runs in a fresh interpreter,
+because installing the recorder rewires the package for the whole process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# trace.overhead_ratio is left out: the bench takes it from a paired untraced run.
+SCRIPT = """
+import contextlib, io, json, sys
+import tracing
+from qvirial import cli
+
+argv, spans_path = json.loads(sys.argv[1]), sys.argv[2]
+recorder = tracing.Recorder()
+recorder.install()
+recorder.job = 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(argv)
+metrics = recorder.write(spans_path, [{"argv": argv, "stdout": out.getvalue()}])["metrics"]
+declared = set(tracing.metric_units()) - {"trace.overhead_ratio"}
+print(json.dumps({"code": code, "missing": sorted(declared - set(metrics))}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["virial", "--sf", "mu:1/5", "--K", "6"],
+    ["virial", "--sf", "q-mu:3/2,1/7", "--K", "10", "--backend", "decimal:20"],
+], ids=["exact", "decimal"])
+def test_declared_layer_metrics_present(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(argv), str(tmp_path / "spans.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert result["missing"] == [], f"declared per-layer metrics absent on {argv}"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qvirial import cli
 from qvirial.cli import main
 
 
@@ -126,16 +127,6 @@ def test_sweep_quadratic_grid(capsys):
     ]
 
 
-def test_sweep_stable_across_jobs(capsys):
-    base = (
-        "sweep", "--sf", "mu-q:0,3/2", "--K", "4",
-        "--sweep", "mu=0:1:1/2", "--sweep", "q=1/2:2:3/4", "--format", "csv",
-    )
-    _, sequential, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, threaded, _ = run_cli(capsys, *base, "--jobs", "4")
-    assert sequential == threaded
-
-
 def test_sweep_t_endpoints_match_composite_models(capsys):
     _, swept, _ = run_cli(
         capsys, "sweep", "--sf", "t:0;mu:1/4;q:3/2", "--K", "3",
@@ -164,6 +155,29 @@ def test_sweep_validation_errors():
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0:1:0"]) == 2  # zero step
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "q=0:1:1"]) == 2  # foreign param
     assert main(["sweep", "--sf", "q-eps:order=3", "--K", "2", "--sweep", "q=0:1:1"]) == 2
+
+
+def test_sweep_bounds_follow_descriptor_grammar():
+    # bounds are rationals like descriptor parameters: decimals are rejected
+    assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0.1:0.5:0.1"]) == 2
+    assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0:1:1/0"]) == 2
+
+
+def test_sweep_point_rejected_by_model_is_usage_error(capsys):
+    # q = 1/2, 1, 3/2: QBasic cannot store q = 1
+    code, out, err = run_cli(capsys, "sweep", "--sf", "q:1/2", "--K", "2", "--sweep", "q=1/2:3/2:1/2")
+    assert code == 2 and out == ""
+    assert "q != 1" in err
+    assert main(["sweep", "--sf", "mu:0", "--K", "1", "--sweep", "mu=0:1:1"]) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(model):
+        raise ValueError("arithmetic bug")
+
+    monkeypatch.setattr(cli, "virial_coefficients", broken)
+    with pytest.raises(ValueError, match="arithmetic bug"):
+        main(["virial", "--sf", "mu:1/4", "--K", "3"])
 
 
 # -- other subcommands -----------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from qvirial import (
     NumberPoly,
     QuadraticOfQBasic,
-    RATIONAL,
+    SURD,
     eval_structure,
     hamiltonian_split,
     two_param_split,
@@ -116,7 +116,7 @@ def test_two_param_matches_direct_ladder_average():
         n = rng.randint(0, 5)
         sf = QuadraticOfQBasic(mu, q)
         direct = (
-            eval_structure(sf, n + 1, RATIONAL) + eval_structure(sf, n, RATIONAL)
+            eval_structure(sf, n + 1, SURD) + eval_structure(sf, n, SURD)
         ) / 2
         split = two_param_split(2 * (n + 1), 1)  # enough eps orders for exactness at N = n
         assert split.evaluate(n, q - 1, mu) == direct, (mu, q, n)

@@ -17,7 +17,6 @@ from qvirial import (
     QBasicSeries,
     Quadratic,
     QuadraticOfQBasic,
-    RATIONAL,
     SURD,
     SurdRational,
     TruncPoly,
@@ -54,24 +53,24 @@ def test_eval_zero_is_zero_for_every_variant():
         QBasicSeries(4),
     ]
     for sf in variants:
-        backend = TruncPolyBackend(("eps",), (4,)) if isinstance(sf, QBasicSeries) else RATIONAL
+        backend = TruncPolyBackend(("eps",), (4,)) if isinstance(sf, QBasicSeries) else SURD
         value = eval_structure(sf, 0, backend)
         assert not value if isinstance(value, TruncPoly) else value == 0
     assert eval_structure(QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), 0, DEC50) == 0
 
 
 def test_eval_qbasic_geometric_sum():
-    assert eval_structure(QBasic(Fraction(2)), 3, RATIONAL) == 7
+    assert eval_structure(QBasic(Fraction(2)), 3, SURD) == 7
 
 
 def test_eval_quadratic_cutoff():
-    assert eval_structure(Quadratic(Fraction(1, 2)), 3, RATIONAL) == 0
+    assert eval_structure(Quadratic(Fraction(1, 2)), 3, SURD) == 0
 
 
 def test_eval_combined_example():
     # [2]_q = 3 at q = 2, then (3/2)*3 - (1/2)*9 = 0
     assert basic_number(Fraction(2), 2) == 3
-    assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, RATIONAL) == 0
+    assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, SURD) == 0
 
 
 def test_eval_on_surd_backend_wraps_rational():
@@ -84,7 +83,7 @@ def test_qbasic_of_quadratic_needs_decimal_backend():
     with pytest.raises(UnsupportedBackendError):
         eval_structure(sf, 2, SURD)
     with pytest.raises(UnsupportedBackendError):
-        eval_structure(sf, 2, RATIONAL)
+        eval_structure(sf, 2, TruncPolyBackend(("eps",), (2,)))
     # on decimal: exponent [2]_{1/4} = 3/2, so phi(2) = (1 - q^(3/2))/(1 - q)
     value = eval_structure(sf, 2, DEC50)
     with localcontext(Context(prec=70)):
@@ -95,8 +94,8 @@ def test_qbasic_of_quadratic_needs_decimal_backend():
 
 def test_interpolated_t1_stays_exact():
     sf = Interpolated(Fraction(1), Fraction(1, 3), Fraction(3, 2))
-    exact = eval_structure(sf, 3, RATIONAL)
-    assert exact == eval_structure(QuadraticOfQBasic(Fraction(1, 3), Fraction(3, 2)), 3, RATIONAL)
+    exact = eval_structure(sf, 3, SURD)
+    assert exact == eval_structure(QuadraticOfQBasic(Fraction(1, 3), Fraction(3, 2)), 3, SURD)
     with pytest.raises(UnsupportedBackendError):
         eval_structure(Interpolated(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)), 3, SURD)
 
@@ -120,25 +119,25 @@ def test_stored_q_never_one():
     with pytest.raises(ValueError):
         Interpolated(Fraction(1, 2), Fraction(1, 4), Fraction(1))
     # the q -> 1 limit lives in the combined variant, by exact substitution
-    assert eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(1)), 5, RATIONAL) == \
-        eval_structure(Quadratic(Fraction(1, 4)), 5, RATIONAL)
+    assert eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(1)), 5, SURD) == \
+        eval_structure(Quadratic(Fraction(1, 4)), 5, SURD)
 
 
 @given(rationals, st.integers(0, 8))
 @settings(max_examples=80)
 def test_quadratic_normalization_properties(mu, n):
     sf = Quadratic(mu)
-    assert eval_structure(sf, 0, RATIONAL) == 0
-    assert eval_structure(sf, 1, RATIONAL) == 1
+    assert eval_structure(sf, 0, SURD) == 0
+    assert eval_structure(sf, 1, SURD) == 1
 
 
 @given(rationals, q_values, st.sampled_from([0, 1]))
 @settings(max_examples=80)
 def test_phi_normalization_all_variants(mu, q, n):
     expected = n  # phi(0) = 0 and phi(1) = 1
-    assert eval_structure(QBasic(q), n, RATIONAL) == expected
-    assert eval_structure(Quadratic(mu), n, RATIONAL) == expected
-    assert eval_structure(QuadraticOfQBasic(mu, q), n, RATIONAL) == expected
+    assert eval_structure(QBasic(q), n, SURD) == expected
+    assert eval_structure(Quadratic(mu), n, SURD) == expected
+    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD) == expected
     if q > 0:
         assert eval_structure(QBasicOfQuadratic(q, mu), n, DEC50) == expected
         assert eval_structure(Interpolated(Fraction(1, 3), mu, q), n, DEC50) == expected
@@ -148,8 +147,8 @@ def test_phi_normalization_all_variants(mu, q, n):
 @settings(max_examples=60)
 def test_limit_degeneracies(q, n):
     mu = Fraction(0)
-    assert eval_structure(QuadraticOfQBasic(mu, q), n, RATIONAL) == eval_structure(
-        QBasic(q), n, RATIONAL
+    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD) == eval_structure(
+        QBasic(q), n, SURD
     )
 
 
@@ -170,7 +169,7 @@ def test_interpolated_endpoints_pointwise():
         assert a == b or sig_agree(a, b, 45)
         c = eval_structure(t1, n, DEC50)
         d = DEC50.from_fraction(
-            eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(3, 2)), n, RATIONAL)
+            eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(3, 2)), n, SURD).rational_part()
         )
         assert c == d or sig_agree(c, d, 45)
 
@@ -178,7 +177,7 @@ def test_interpolated_endpoints_pointwise():
 def test_quadratic_unit_fraction_cutoff():
     for m in range(1, 8):
         sf = Quadratic(Fraction(1, m))
-        assert eval_structure(sf, m + 1, RATIONAL) == 0
+        assert eval_structure(sf, m + 1, SURD) == 0
         assert is_unit_fraction_mu(sf) is True
     assert is_unit_fraction_mu(Quadratic(Fraction(2, 3))) is False
     assert is_unit_fraction_mu(QBasic(Fraction(2))) is None
@@ -285,4 +284,4 @@ def test_parse_descriptor_rejects_garbage():
 
 def test_undeformed_constant():
     for n in range(8):
-        assert eval_structure(UNDEFORMED, n, RATIONAL) == n
+        assert eval_structure(UNDEFORMED, n, SURD) == n
