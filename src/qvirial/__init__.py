@@ -25,7 +25,6 @@ from .exact import (
     TruncPoly,
     TruncPolyBackend,
     half_power,
-    is_zero,
     radical_normalize,
     to_decimal,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "TruncPolyBackend",
     "DecimalBackend",
     "SURD",
-    "is_zero",
     "to_decimal",
     # structure functions
     "QBasic",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .exact import (
     SurdRational,
     TruncPoly,
     TruncPolyBackend,
+    half_power,
     to_decimal,
 )
 from .perturb import hamiltonian_split, two_param_split
@@ -52,9 +54,20 @@ from .thermo import (
 
 DECIMAL_PLACES = 12
 
+# Caps on input whose cost grows without bound; a larger request exits 2
+# at once instead of running for hours or exhausting memory.
+MAX_ORDER = 100  # --K, and --order / --order-mu of the expansion commands
+MAX_DECIMAL_DIGITS = 1000  # decimal:<digits>
+MAX_SWEEP_POINTS = 1000  # values of one --sweep, and points of the whole grid
+
 
 class UsageError(ValueError):
     """Invalid command-line input beyond what argparse checks."""
+
+
+def _check_cap(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise UsageError(f"{what} is {value}, above the cap of {cap}")
 
 
 # --------------------------------------------------------------------------
@@ -111,9 +124,11 @@ def _parse_backend_flag(text: str) -> Backend:
     if text.startswith("decimal:"):
         digits = text.split(":", 1)[1]
         try:
-            return DecimalBackend(int(digits))
+            backend = DecimalBackend(int(digits))
         except ValueError as exc:
             raise UsageError(f"bad decimal digit budget {digits!r}") from exc
+        _check_cap(backend.digits, MAX_DECIMAL_DIGITS, "decimal digit budget")
+        return backend
     raise UsageError(f"unknown backend {text!r} (use exact or decimal:<digits>)")
 
 
@@ -135,6 +150,7 @@ def _model(sf, args, backend: Backend, **params) -> GasModel:
     A value the model rejects (a truncation order below 2, a sweep reaching
     q = 1) came from the user, so it is a usage error.
     """
+    _check_cap(args.order, MAX_ORDER, "--K")
     try:
         return GasModel(replace(sf, **params), order=args.order, backend=backend)
     except ValueError as exc:
@@ -198,6 +214,7 @@ def cmd_series(args) -> tuple[str, int]:
 def cmd_eps_expand(args) -> tuple[str, int]:
     if args.expansion_order < 1:
         raise UsageError("--order must be >= 1")
+    _check_cap(args.expansion_order, MAX_ORDER, "--order")
     meta = {"command": "eps-expand", "order": str(args.expansion_order)}
     if args.n is not None:
         if args.n < 0:
@@ -222,6 +239,7 @@ def cmd_eps_expand(args) -> tuple[str, int]:
 def cmd_hamiltonian(args) -> tuple[str, int]:
     if args.expansion_order < 0:
         raise UsageError("--order must be >= 0")
+    _check_cap(args.expansion_order, MAX_ORDER, "--order")
     meta = {"command": "hamiltonian", "order": str(args.expansion_order)}
     if args.order_mu is None:
         split = hamiltonian_split(args.expansion_order)
@@ -230,6 +248,7 @@ def cmd_hamiltonian(args) -> tuple[str, int]:
     else:
         if args.order_mu < 0:
             raise UsageError("--order-mu must be >= 0")
+        _check_cap(args.order_mu, MAX_ORDER, "--order-mu")
         meta["order_mu"] = str(args.order_mu)
         split = two_param_split(args.expansion_order, args.order_mu)
         columns = ["eps_power", "mu_power", "term"]
@@ -258,14 +277,11 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
     start, stop, step = (_parse_rational(p) for p in parts)
     if step == 0:
         raise UsageError("sweep step must be nonzero")
-    values = []
-    current = start
-    while (step > 0 and current <= stop) or (step < 0 and current >= stop):
-        values.append(current)
-        current += step
-    if not values:
+    count = (stop - start) // step + 1
+    if count < 1:
         raise UsageError(f"sweep {text!r} produces no values")
-    return param, values
+    _check_cap(count, MAX_SWEEP_POINTS, f"the value count of sweep {text!r}")
+    return param, [start + i * step for i in range(count)]
 
 
 def cmd_sweep(args) -> tuple[str, int]:
@@ -283,6 +299,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     if len(set(param_names)) != len(param_names):
         raise UsageError("each parameter can be swept only once")
     backend = _parse_backend_flag(args.backend)
+    _check_cap(math.prod(len(values) for _, values in sweeps), MAX_SWEEP_POINTS, "sweep grid size")
 
     grid: list[tuple[Fraction, ...]] = [()]
     for _, values in sweeps:
@@ -324,8 +341,6 @@ def _check_monomial_rows() -> bool:
 
 
 def _check_hamiltonian_identity() -> bool:
-    import math
-
     for order in range(7):
         split = hamiltonian_split(order)
         for n in range(13):
@@ -345,8 +360,6 @@ def _check_undeformed_anchors() -> bool:
 
 
 def _check_quadratic_second_virial() -> bool:
-    from .exact import half_power
-
     for mu in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         table = virial_coefficients(GasModel(Quadratic(mu), order=2, backend=SURD))
         if table.coefficient(2) != -half_power(2, 5) * (1 - mu):
@@ -355,8 +368,6 @@ def _check_quadratic_second_virial() -> bool:
 
 
 def _check_deviation_limits() -> bool:
-    from .exact import half_power
-
     qs = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(2), Fraction(3)]
     mus = [Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     for q in qs:
@@ -419,8 +430,6 @@ def _fifth_virial_discrepancy() -> tuple[bool, str]:
 
 
 def _fugacity_cubic_discrepancy() -> tuple[bool, str]:
-    from .exact import half_power
-
     model = GasModel(UNDEFORMED, order=3, backend=SURD)
     engine = fugacity_of_density(model).coeffs[3]
     phi2 = SurdRational.from_fraction(2)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Mapping, Union
@@ -43,7 +43,6 @@ __all__ = [
     "TruncPolyBackend",
     "DecimalBackend",
     "SURD",
-    "is_zero",
     "to_decimal",
 ]
 
@@ -486,12 +485,6 @@ class TruncPoly:
 Scalar = Union[Fraction, SurdRational, TruncPoly, Decimal]
 
 
-def is_zero(scalar: Scalar) -> bool:
-    if isinstance(scalar, (SurdRational, TruncPoly)):
-        return scalar.is_zero()
-    return scalar == 0
-
-
 # --------------------------------------------------------------------------
 # Backends
 # --------------------------------------------------------------------------
@@ -633,38 +626,46 @@ Backend = Union[SurdBackend, TruncPolyBackend, DecimalBackend]
 # --------------------------------------------------------------------------
 
 
-def _fixed_from_fraction(value: Fraction, digits: int) -> str:
-    """Fixed-point rendering of an exact rational, round-half-even, `digits` places."""
-    scaled = value * Fraction(10) ** digits
-    num, den = scaled.numerator, scaled.denominator
-    q, r = divmod(num, den)
+def _round_fixed(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0) rounded half-even to `digits` >= 1 places, never '-0.0...'."""
+    q, r = divmod(num * 10**digits, den)
     if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    sign = "-" if q < 0 else ""
-    digits_str = str(abs(q)).rjust(digits + 1, "0")
-    whole, frac = digits_str[:-digits] or "0", digits_str[-digits:]
-    if digits == 0:
-        return sign + whole
-    return f"{sign}{whole}.{frac}" if q else f"0.{'0' * digits}"
+    text = str(abs(q)).rjust(digits + 1, "0")
+    return f"{'-' if q < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
-def _fixed_from_decimal(value: Decimal, digits: int) -> str:
-    with localcontext(Context(prec=max(value.adjusted() + digits + 10, 25))):
-        quantum = Decimal(1).scaleb(-digits)
-        out = value.quantize(quantum, rounding=ROUND_HALF_EVEN)
-    if not out:
-        out = abs(out)  # never render "-0.000..."
-    return str(out) if digits == 0 else f"{out:.{digits}f}"
+def _round_surd(value: SurdRational, digits: int) -> str:
+    """Certified rounding of an irrational surd sum.
+
+    At scale S = 10**(digits+extra) each term c*sqrt(r)*S lies between two
+    consecutive integers (isqrt of the floored square), so the sum lies in
+    [lo, lo + #terms].  Rounding is monotone: once both ends round alike, that
+    is the rounding of the value itself.  An irrational value is never a tie,
+    so raising `extra` always ends the loop.
+    """
+    extra = 20
+    while True:
+        scale = 10 ** (digits + extra)
+        lo = 0
+        for r, c in value._terms.items():
+            num, den = c.numerator * scale, c.denominator
+            m = math.isqrt(num * num * r // (den * den))
+            lo += m if num > 0 else -m - 1
+        low = _round_fixed(lo, scale, digits)
+        if low == _round_fixed(lo + len(value._terms), scale, digits):
+            return low
+        extra += 20
 
 
 def to_decimal(scalar: Scalar, digits: int) -> str:
     """Correctly rounded fixed-point rendering with `digits` digits after the point.
 
-    Exact scalars are rounded from their true value (adaptive precision for
-    irrational surd sums; surds with distinct radicands are linearly
-    independent over Q, so a nonzero sum can never sit exactly on a rounding
-    boundary and the refinement terminates).  TruncPoly values must be
-    substituted first.
+    Every scalar is rounded half-even from its exact value by one integer
+    routine: a Decimal or Fraction is an exact rational, and an irrational
+    surd sum is bracketed between integers until the rounding is certain
+    (surds with distinct radicands are linearly independent over Q, so such a
+    sum is never exactly a tie).  TruncPoly values must be substituted first.
     """
     if digits < 1:
         raise ValueError("digit budget must be >= 1")
@@ -672,21 +673,10 @@ def to_decimal(scalar: Scalar, digits: int) -> str:
         raise UnboundVariableError(
             f"substitute values for {scalar.variables} before rendering decimally"
         )
-    if isinstance(scalar, (int, Fraction)):
-        return _fixed_from_fraction(Fraction(scalar), digits)
-    if isinstance(scalar, Decimal):
-        return _fixed_from_decimal(scalar, digits)
     if isinstance(scalar, SurdRational):
-        if scalar.is_zero():
-            return _fixed_from_fraction(Fraction(0), digits)
-        if scalar.is_rational():
-            return _fixed_from_fraction(scalar.rational_part(), digits)
-        prec = digits + 25
-        previous = None
-        while True:
-            rendered = _fixed_from_decimal(scalar.decimal_value(prec), digits)
-            if rendered == previous:
-                return rendered
-            previous = rendered
-            prec += 20
+        if not scalar.is_rational():
+            return _round_surd(scalar, digits)
+        scalar = scalar.rational_part()  # may sit exactly on a tie
+    if isinstance(scalar, (int, Fraction, Decimal)):
+        return _round_fixed(*scalar.as_integer_ratio(), digits)
     raise TypeError(f"unsupported scalar type {type(scalar).__name__}")

@@ -26,7 +26,7 @@ from .errors import (
     NonzeroConstantTermError,
     ZeroLinearCoefficientError,
 )
-from .exact import Backend, Scalar, is_zero
+from .exact import Backend, Scalar
 from .structfn import StructureFunction, eval_structure
 
 __all__ = [
@@ -126,11 +126,11 @@ class PowerSeries:
             out = [zero] * (k + 1)
             for i in range(min(len(a) - 1, k) + 1):
                 ai = a[i]
-                if is_zero(ai):
+                if not ai:
                     continue
                 for j in range(min(len(b) - 1, k - i) + 1):
                     bj = b[j]
-                    if is_zero(bj):
+                    if not bj:
                         continue
                     out[i + j] = out[i + j] + ai * bj
             return PowerSeries(self.var, self.backend, out)
@@ -151,7 +151,7 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         raise MixedBackendError(
             f"cannot compose {outer.backend.describe()} with {inner.backend.describe()} series"
         )
-    if not is_zero(inner.coeffs[0]):
+    if inner.coeffs[0]:
         raise NonzeroConstantTermError("compose needs an inner series with zero constant term")
     k = min(outer.order, inner.order)
     backend = outer.backend
@@ -175,10 +175,10 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
     power table P[j][m] = [x^m] g**j is filled from already-known lower-order
     coefficients, and each new g_m makes [x^m] f(g) vanish.
     """
-    if not is_zero(f.coeffs[0]):
+    if f.coeffs[0]:
         raise NonzeroConstantTermError("revert needs a series with zero constant term")
     k = f.order
-    if k < 1 or is_zero(f.coeffs[1]):
+    if k < 1 or not f.coeffs[1]:
         raise ZeroLinearCoefficientError("revert needs a nonzero linear coefficient")
     backend = f.backend
     inv_c1 = backend.invert_unit(f.coeffs[1])
@@ -197,11 +197,11 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
                 coeff = zero
                 for i in range(j - 1, m):
                     prev = row_prev[i] if i < len(row_prev) else zero
-                    if is_zero(prev):
+                    if not prev:
                         continue
                     coeff = coeff + prev * g[m - i]
                 row.append(coeff)
-                if not is_zero(f.coeffs[j]):
+                if f.coeffs[j]:
                     residual = residual + f.coeffs[j] * coeff
             g.append(-residual * inv_c1)
         return PowerSeries(var, backend, g)
@@ -219,7 +219,7 @@ def jackson_apply(sf: StructureFunction, f: PowerSeries) -> PowerSeries:
 
 def euler_inverse(f: PowerSeries) -> PowerSeries:
     """Invert the undeformed Euler operator z d/dz: c_n -> c_n / n (needs c_0 = 0)."""
-    if not is_zero(f.coeffs[0]):
+    if f.coeffs[0]:
         raise NonzeroConstantTermError("euler_inverse needs a series with zero constant term")
     backend = f.backend
     with backend.arith():

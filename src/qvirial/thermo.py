@@ -29,7 +29,6 @@ from .exact import (
     Scalar,
     SurdRational,
     TruncPolyBackend,
-    is_zero,
 )
 from .series import PowerSeries, compose, euler_inverse, jackson_apply, revert
 from .structfn import (
@@ -135,11 +134,11 @@ def _first_nonpositive_phi(model: GasModel) -> int | None:
 
 def virial_coefficients(model: GasModel) -> VirialTable:
     """Engine virial table: compose the pressure series with z(x) and read off
-    the coefficients of x**(k-1) (after dividing once by x)."""
-    pressure = pressure_series(model)
-    fugacity = fugacity_of_density(model)
-    expansion = compose(pressure, fugacity)
-    assert is_zero(expansion.coeffs[0])
+    the coefficients of x**(k-1) (after dividing once by x).  Both come from
+    one density series x(z)."""
+    x = particle_series(model)
+    expansion = compose(euler_inverse(x), revert(x, var="x"))
+    assert not expansion.coeffs[0]
     return VirialTable(
         sf=model.sf,
         order=model.order,

@@ -157,6 +157,29 @@ def test_sweep_validation_errors():
     assert main(["sweep", "--sf", "q-eps:order=3", "--K", "2", "--sweep", "q=0:1:1"]) == 2
 
 
+def test_inputs_over_the_caps_exit_2():
+    # each request is rejected before any work starts
+    assert main(["virial", "--sf", "mu:0", "--K", "101"]) == 2
+    assert main(["series", "--sf", "mu:0", "--K", "101"]) == 2
+    assert main(["sweep", "--sf", "mu:0", "--K", "101", "--sweep", "mu=0:1:1"]) == 2
+    assert main(["virial", "--sf", "mu:0", "--K", "3", "--backend", "decimal:1001"]) == 2
+    assert main(["eps-expand", "--order", "101"]) == 2
+    assert main(["hamiltonian", "--order", "101"]) == 2
+    assert main(["hamiltonian", "--order", "2", "--order-mu", "101"]) == 2
+    assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0:1:1/2000"]) == 2
+    # 100 x 11 points: each sweep is under the cap, the grid is not
+    assert main(["sweep", "--sf", "mu-q:0,3/2", "--K", "2",
+                 "--sweep", "mu=1/100:1:1/100", "--sweep", "q=1/2:3/2:1/10"]) == 2
+
+
+def test_caps_admit_their_limit():
+    assert cli._parse_backend_flag(f"decimal:{cli.MAX_DECIMAL_DIGITS}").digits == cli.MAX_DECIMAL_DIGITS
+    param, values = cli._parse_sweep_flag(f"mu=1:{cli.MAX_SWEEP_POINTS}:1")
+    assert len(values) == cli.MAX_SWEEP_POINTS and values[-1] == cli.MAX_SWEEP_POINTS
+    with pytest.raises(cli.UsageError):
+        cli._parse_sweep_flag(f"mu=1:{cli.MAX_SWEEP_POINTS + 1}:1")
+
+
 def test_sweep_bounds_follow_descriptor_grammar():
     # bounds are rationals like descriptor parameters: decimals are rejected
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0.1:0.5:0.1"]) == 2

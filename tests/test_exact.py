@@ -210,6 +210,31 @@ def test_to_decimal_fraction_and_decimal_inputs():
     assert to_decimal(Fraction(1, 8), 3) == "0.125"
     assert to_decimal(Fraction(1, 8), 2) == "0.12"  # half-even
     assert to_decimal(Decimal("-1.25"), 1) == "-1.2"
+    # a rational surd may sit exactly on a tie, and must still round half-even
+    assert to_decimal(SurdRational.from_fraction(Fraction(1, 8)), 2) == "0.12"
+    assert to_decimal(SurdRational.from_fraction(Fraction(-1, 8)), 2) == "-0.12"
+    # values in (-0.5e-3, 0) round to zero and never render as "-0.000"
+    tiny = Fraction(-1, 10**4)
+    for value in (
+        tiny,
+        Decimal("-0.0001"),
+        SurdRational.from_fraction(tiny),
+        SurdRational({1: Fraction(1414213, 10**6), 2: -1}),  # about -5.6e-7
+    ):
+        assert to_decimal(value, 3) == "0.000"
+
+
+def test_to_decimal_certified_near_a_tie():
+    # p/q is a Pell convergent of sqrt(2) with p**2 - 2*q**2 = 1, so
+    # 0 < p/q - sqrt(2) < 1e-73: both values lie within 1e-73 of a rounding
+    # tie at 12 places, on the side that rounds to 1e-12.
+    p, q = 1, 1
+    while q <= 10**36:
+        p, q = p + 2 * q, p + q
+    assert p * p - 2 * q * q == 1
+    gap = SurdRational({1: Fraction(p, q), 2: -1})
+    assert to_decimal(gap + Fraction(5, 10**13), 12) == "0.000000000001"
+    assert to_decimal(Fraction(15, 10**13) - gap, 12) == "0.000000000001"
 
 
 def test_to_decimal_requires_substituted_poly():
