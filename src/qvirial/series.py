@@ -13,8 +13,12 @@ The two operators that drive the gas pipeline:
   euler_inverse(f)       c_n -> c_n / n           (its undeformed inverse,
                          defined for series with no constant term)
 
-`revert` computes the compositional inverse order by order (a triangular
-solve equivalent to Lagrange inversion), exactly over exact backends.
+`compose` evaluates outer(inner) as the power sum sum_j o_j * inner**j
+(Brent & Kung, J. ACM 25, 1978).  Each power starts at x**j and products skip
+zero low coefficients, so the j-th product costs about (K-j)**2/2 ring
+multiplications, about K**3/6 in all against Horner's K**3/2.  `revert`
+computes the compositional inverse order by order (a triangular solve
+equivalent to Lagrange inversion), exactly over exact backends.
 """
 
 from __future__ import annotations
@@ -146,7 +150,12 @@ class PowerSeries:
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer(inner), truncated at min(K_outer, K_inner); inner needs c_0 = 0."""
+    """outer(inner), truncated at min(K_outer, K_inner); inner needs c_0 = 0.
+
+    Sums o_j * [x^m] inner**j into the output for m >= j, building each power
+    as the previous one times inner.  Zero o_j and zero power coefficients add
+    nothing, and the power after the last one used is never built.
+    """
     if outer.backend != inner.backend:
         raise MixedBackendError(
             f"cannot compose {outer.backend.describe()} with {inner.backend.describe()} series"
@@ -157,14 +166,17 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     backend = outer.backend
     with backend.arith():
         inner_k = PowerSeries(inner.var, backend, inner.coeffs[: k + 1])
-        acc = PowerSeries.from_terms(inner.var, backend, k, {0: outer.coeffs[k]})
-        for j in range(k - 1, -1, -1):
-            acc = acc * inner_k
-            acc = PowerSeries(
-                inner.var, backend,
-                (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:],
-            )
-        return acc
+        out = [outer.coeffs[0]] + [backend.zero] * k
+        power = inner_k  # inner**j, whose coefficients below x**j are zero
+        for j in range(1, k + 1):
+            o_j = outer.coeffs[j]
+            if o_j:
+                for m in range(j, k + 1):
+                    if power.coeffs[m]:
+                        out[m] = out[m] + o_j * power.coeffs[m]
+            if j < k:
+                power = power * inner_k
+        return PowerSeries(inner.var, backend, out)
 
 
 def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
@@ -196,7 +208,7 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
                 row_prev, row = power[j - 1], power[j]
                 coeff = zero
                 for i in range(j - 1, m):
-                    prev = row_prev[i] if i < len(row_prev) else zero
+                    prev = row_prev[i]
                     if not prev:
                         continue
                     coeff = coeff + prev * g[m - i]

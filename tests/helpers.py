@@ -1,8 +1,11 @@
-"""Shared test utilities: independent decimal oracles and comparison helpers."""
+"""Shared test utilities: independent decimal oracles, comparison helpers and
+a Horner reference for series composition."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 import random
+
+from qvirial import PowerSeries
 
 
 def surd_oracle_decimal(terms: dict[int, Fraction], prec: int = 60) -> Decimal:
@@ -37,3 +40,20 @@ def rand_positive_q(rng: random.Random, max_den: int = 12) -> Fraction:
         q = Fraction(num, den)
         if q != 1:
             return q
+
+
+def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """outer(inner) by Horner's rule, truncated at min(K_outer, K_inner): a
+    reference for compose's power-sum form (the inner needs c_0 = 0)."""
+    k = min(outer.order, inner.order)
+    backend = outer.backend
+    with backend.arith():
+        inner_k = PowerSeries(inner.var, backend, inner.coeffs[: k + 1])
+        acc = PowerSeries.from_terms(inner.var, backend, k, {0: outer.coeffs[k]})
+        for j in range(k - 1, -1, -1):
+            acc = acc * inner_k
+            acc = PowerSeries(
+                inner.var, backend,
+                (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:],
+            )
+        return acc

@@ -17,6 +17,8 @@ from qvirial import (
     DecimalBackend,
     SURD,
     SurdRational,
+    TruncPoly,
+    TruncPolyBackend,
     UNDEFORMED,
     ZeroLinearCoefficientError,
     compose,
@@ -26,7 +28,7 @@ from qvirial import (
     revert,
 )
 
-from helpers import rand_fraction
+from helpers import horner_compose, rand_fraction
 
 
 def surd_series(coeffs, var="z"):
@@ -142,6 +144,50 @@ def test_revert_round_trip_property(tail):
     k = f.order
     assert compose(f, g) == PowerSeries.identity("x", SURD, k)
     assert compose(g, PowerSeries("x", SURD, f.coeffs)) == PowerSeries.identity("x", SURD, k)
+
+
+# -- compose against Horner's rule -----------------------------------------------
+
+
+maybe_zero_st = st.one_of(st.just(SURD.zero), surd_coeff_st)
+
+
+@given(
+    st.lists(maybe_zero_st, min_size=1, max_size=8),
+    st.lists(maybe_zero_st, min_size=0, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_horner(outer_coeffs, inner_tail):
+    # the inner's linear term is drawn like the rest: zero, 1 or a non-unit surd
+    outer = PowerSeries("z", SURD, outer_coeffs)
+    inner = PowerSeries("z", SURD, [SURD.zero] + inner_tail)
+    result = compose(outer, inner)
+    assert result == horner_compose(outer, inner)
+    assert result.order == min(outer.order, inner.order)
+
+
+def test_compose_matches_horner_on_truncpoly():
+    backend = TruncPolyBackend(("eps",), (3,))
+    eps = TruncPoly.variable(backend.variables, backend.bounds, "eps")
+    surd = backend.from_surd
+    outer = PowerSeries("z", backend, [
+        backend.one, eps, backend.zero, surd(SurdRational({2: Fraction(-1, 3)})) * eps * eps,
+        backend.from_fraction(Fraction(5, 7)), eps + surd(SurdRational.sqrt_int(3)),
+    ])
+    inner = PowerSeries("z", backend, [
+        backend.zero, backend.one + eps, surd(half_power(2, 5)), backend.zero, eps * eps * eps,
+    ])
+    result = compose(outer, inner)
+    assert result == horner_compose(outer, inner)
+    assert result.order == 4
+    assert result.coeffs[1] == eps + eps * eps
+
+
+def test_compose_order_zero():
+    outer = surd_series([Fraction(3, 4), 1, 2])
+    constant = surd_series([Fraction(3, 4)])
+    assert compose(outer, surd_series([0])) == constant
+    assert compose(outer.truncate(0), surd_series([0, 1])) == constant
 
 
 # -- operators -----------------------------------------------------------------
