@@ -3,9 +3,11 @@
 Every series in this package is generic over one scalar backend:
 
   surd       SurdRational -- finite sums  sum_r c_r*sqrt(r)  with rational c_r
-             and square-free radicands r.  The ring is closed under addition
-             and multiplication, and under division by nonzero rationals,
-             which is all the series algebra ever needs.  It hosts every
+             and square-free radicands r, stored as integer numerators over
+             one shared denominator, so each ring operation is integer
+             arithmetic plus one gcd.  The ring is closed under addition and
+             multiplication, and under division by nonzero rationals, which
+             is all the series algebra ever needs.  It hosts every
              coefficient of the form  rational / n^(k/2).
   truncpoly  TruncPoly -- polynomials in one or two formal deviation
              variables (e.g. "eps", "mu") with SurdRational coefficients,
@@ -83,53 +85,74 @@ def half_power(n: int, k: int) -> "SurdRational":
     if k < 1 or k % 2 == 0:
         raise ValueError(f"exponent numerator must be an odd positive integer, got {k}")
     s, r = radical_normalize(n)
-    return SurdRational({r: Fraction(s, n ** ((k + 1) // 2))})
+    return _surd({r: s}, n ** ((k + 1) // 2))
+
+
+@lru_cache(maxsize=None)
+def _radicand_product(r1: int, r2: int) -> tuple[int, int]:
+    """sqrt(r1)*sqrt(r2) = g*sqrt(r) for square-free r1, r2: returns (r, g)."""
+    g = math.gcd(r1, r2)
+    return (r1 // g) * (r2 // g), g
+
+
+def _surd(num: dict[int, int], den: int) -> "SurdRational":
+    """The canonical sum_r num[r]*sqrt(r) / den for square-free r and den > 0."""
+    num = {r: n for r, n in sorted(num.items()) if n}
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {r: n // g for r, n in num.items()}
+        den //= g
+    out = object.__new__(SurdRational)
+    out._num, out._den = num, den
+    return out
 
 
 class SurdRational:
-    """Element of Q[sqrt(r) : r square-free]: a finite map radicand -> coefficient.
+    """Element of Q[sqrt(r) : r square-free]: sum_r _num[r]*sqrt(r) / _den.
 
-    Radicand 1 carries the pure-rational part; zero coefficients are never
-    stored, so the value 0 has an empty map.  sqrt(a)*sqrt(b) normalizes via
-    ab = s**2 * r with r square-free, keeping the ring closed.
+    Canonical form: `_den` > 0, radicands ascend, no numerator is zero and
+    gcd(_den, *numerators) == 1, so 0 is ({}, 1) and equal values have equal
+    fields.  Radicand 1 carries the pure-rational part.  sqrt(a)*sqrt(b)
+    normalizes via ab = s**2 * r with r square-free, keeping the ring closed.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[int, Fraction | int] | None = None) -> None:
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for rad, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
+        acc: dict[int, Fraction] = {}
+        for rad, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff:
                 s, r = radical_normalize(rad)
-                clean[r] = clean.get(r, Fraction(0)) + coeff * s
-        self._terms = {r: c for r, c in sorted(clean.items()) if c}
+                acc[r] = acc.get(r, 0) + coeff * s
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        out = _surd({r: c.numerator * (den // c.denominator) for r, c in acc.items()}, den)
+        self._num, self._den = out._num, out._den
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "SurdRational":
-        return cls({1: Fraction(value)})
+        n, d = Fraction(value).as_integer_ratio()
+        return _surd({1: n}, d)
 
     @classmethod
     def sqrt_int(cls, n: int) -> "SurdRational":
-        return cls({n: Fraction(1)})
+        return cls({n: 1})
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {r: Fraction(n, self._den) for r, n in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(r == 1 for r in self._terms)
+        return all(r == 1 for r in self._num)
 
     def rational_part(self) -> Fraction:
         """The whole value as a Fraction; raises if any surd term is present."""
         if not self.is_rational():
             raise ValueError(f"{self.render()} is not rational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -137,12 +160,18 @@ class SurdRational:
         if isinstance(other, (int, Fraction)):
             other = SurdRational.from_fraction(other)
         if isinstance(other, SurdRational):
-            merged = dict(self._terms)
-            for r, c in other._terms.items():
-                merged[r] = merged.get(r, Fraction(0)) + c
-            out = SurdRational.__new__(SurdRational)
-            out._terms = {r: c for r, c in sorted(merged.items()) if c}
-            return out
+            d1, d2 = self._den, other._den
+            if d1 == d2:
+                num = dict(self._num)
+                for r, n in other._num.items():
+                    num[r] = num.get(r, 0) + n
+                return _surd(num, d1)
+            g = math.gcd(d1, d2)
+            s1, s2 = d2 // g, d1 // g
+            num = {r: n * s1 for r, n in self._num.items()}
+            for r, n in other._num.items():
+                num[r] = num.get(r, 0) + n * s2
+            return _surd(num, d1 * s1)
         if isinstance(other, (Decimal, TruncPoly)):
             raise MixedBackendError(f"cannot mix SurdRational with {type(other).__name__}")
         return NotImplemented
@@ -150,37 +179,27 @@ class SurdRational:
     __radd__ = __add__
 
     def __neg__(self) -> "SurdRational":
-        out = SurdRational.__new__(SurdRational)
-        out._terms = {r: -c for r, c in self._terms.items()}
+        out = object.__new__(SurdRational)
+        out._num, out._den = {r: -n for r, n in self._num.items()}, self._den
         return out
 
     def __sub__(self, other: object) -> "SurdRational":
-        result = self.__add__(-other if isinstance(other, (int, Fraction, SurdRational)) else other)
-        return result
+        return self.__add__(-other if isinstance(other, (int, Fraction, SurdRational)) else other)
 
     def __rsub__(self, other: object) -> "SurdRational":
         return (-self).__add__(other)
 
     def __mul__(self, other: object) -> "SurdRational":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return SurdRational()
-            out = SurdRational.__new__(SurdRational)
-            out._terms = {r: c * other for r, c in self._terms.items()}
-            return out
+            n, d = other.as_integer_ratio()
+            return _surd({r: c * n for r, c in self._num.items()}, self._den * d)
         if isinstance(other, SurdRational):
-            acc: dict[int, Fraction] = {}
-            for r1, c1 in self._terms.items():
-                for r2, c2 in other._terms.items():
-                    # r1, r2 square-free: r1*r2 = g**2 * (r1/g)*(r2/g) with g = gcd
-                    g = math.gcd(r1, r2)
-                    rad = (r1 // g) * (r2 // g)
-                    val = c1 * c2 * g
-                    prev = acc.get(rad)
-                    acc[rad] = val if prev is None else prev + val
-            out = SurdRational.__new__(SurdRational)
-            out._terms = {r: c for r, c in sorted(acc.items()) if c}
-            return out
+            acc: dict[int, int] = {}
+            for r1, n1 in self._num.items():
+                for r2, n2 in other._num.items():
+                    rad, g = _radicand_product(r1, r2)
+                    acc[rad] = acc.get(rad, 0) + n1 * n2 * g
+            return _surd(acc, self._den * other._den)
         if isinstance(other, (Decimal, TruncPoly)):
             raise MixedBackendError(f"cannot mix SurdRational with {type(other).__name__}")
         return NotImplemented
@@ -214,26 +233,29 @@ class SurdRational:
         return out
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SurdRational.from_fraction(other)
         if isinstance(other, SurdRational):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
+        # a rational value equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(self.rational_part())
+        return hash((self._den, tuple(self._num.items())))
 
     # -- rendering and numeric evaluation -----------------------------------
 
     def render(self) -> str:
         """Canonical text form: terms by ascending radicand, e.g. '-7/16*sqrt(2) + 1/81*sqrt(3)'."""
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for i, (r, c) in enumerate(self._terms.items()):
+        for i, (r, c) in enumerate(self.terms.items()):
             body = str(abs(c)) if r == 1 else f"{abs(c)}*sqrt({r})"
             if i == 0:
                 parts.append(("-" if c < 0 else "") + body)
@@ -251,7 +273,7 @@ class SurdRational:
         """Approximate value at the given working precision (not a rounding contract)."""
         with localcontext(Context(prec=prec)):
             total = Decimal(0)
-            for r, c in self._terms.items():
+            for r, c in self.terms.items():
                 term = Decimal(c.numerator) / Decimal(c.denominator)
                 if r != 1:
                     term *= Decimal(r).sqrt()
@@ -424,6 +446,10 @@ class TruncPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant polynomial equals its coefficient, so it must hash like it
+        const = (0,) * len(self._vars)
+        if self._coeffs.keys() <= {const}:
+            return hash(self.coefficient(const))
         return hash((self._vars, self._bounds, tuple(self._coeffs.items())))
 
     def substitute(self, values: Mapping[str, "Fraction | int | SurdRational"]) -> "TruncPoly | SurdRational":
@@ -638,8 +664,8 @@ def _round_fixed(num: int, den: int, digits: int) -> str:
 def _round_surd(value: SurdRational, digits: int) -> str:
     """Certified rounding of an irrational surd sum.
 
-    At scale S = 10**(digits+extra) each term c*sqrt(r)*S lies between two
-    consecutive integers (isqrt of the floored square), so the sum lies in
+    At scale S = 10**(digits+extra) each n*sqrt(r)*S lies between consecutive
+    integers (isqrt of its square), so the value times S*_den lies in
     [lo, lo + #terms].  Rounding is monotone: once both ends round alike, that
     is the rounding of the value itself.  An irrational value is never a tie,
     so raising `extra` always ends the loop.
@@ -648,12 +674,11 @@ def _round_surd(value: SurdRational, digits: int) -> str:
     while True:
         scale = 10 ** (digits + extra)
         lo = 0
-        for r, c in value._terms.items():
-            num, den = c.numerator * scale, c.denominator
-            m = math.isqrt(num * num * r // (den * den))
-            lo += m if num > 0 else -m - 1
-        low = _round_fixed(lo, scale, digits)
-        if low == _round_fixed(lo + len(value._terms), scale, digits):
+        for r, n in value._num.items():
+            m = math.isqrt(n * n * scale * scale * r)
+            lo += m if n > 0 else -m - 1
+        low = _round_fixed(lo, scale * value._den, digits)
+        if low == _round_fixed(lo + len(value._num), scale * value._den, digits):
             return low
         extra += 20
 

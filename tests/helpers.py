@@ -1,11 +1,13 @@
-"""Shared test utilities: independent decimal oracles, comparison helpers and
-a Horner reference for series composition."""
+"""Shared test utilities: independent decimal oracles, comparison helpers, a
+Horner reference for series composition and a Fraction-per-term reference for
+the surd ring."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+import math
 import random
 
-from qvirial import PowerSeries
+from qvirial import PowerSeries, radical_normalize
 
 
 def surd_oracle_decimal(terms: dict[int, Fraction], prec: int = 60) -> Decimal:
@@ -57,3 +59,69 @@ def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
                 (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:],
             )
         return acc
+
+
+class FractionSurd:
+    """sum_r c_r*sqrt(r) as a map radicand -> Fraction: the surd ring one
+    Fraction per term, kept as the reference for SurdRational's integer form."""
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for rad, coeff in terms.items():
+                coeff = Fraction(coeff)
+                if not coeff:
+                    continue
+                s, r = radical_normalize(rad)
+                clean[r] = clean.get(r, Fraction(0)) + coeff * s
+        self.terms = {r: c for r, c in sorted(clean.items()) if c}
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionSurd({1: other})
+        merged = dict(self.terms)
+        for r, c in other.terms.items():
+            merged[r] = merged.get(r, Fraction(0)) + c
+        return FractionSurd(merged)
+
+    def __neg__(self):
+        return FractionSurd({r: -c for r, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, FractionSurd) else -Fraction(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionSurd({r: c * other for r, c in self.terms.items()})
+        acc = {}
+        for r1, c1 in self.terms.items():
+            for r2, c2 in other.terms.items():
+                # r1, r2 square-free: r1*r2 = g**2 * (r1/g)*(r2/g) with g = gcd
+                g = math.gcd(r1, r2)
+                rad = (r1 // g) * (r2 // g)
+                acc[rad] = acc.get(rad, Fraction(0)) + c1 * c2 * g
+        return FractionSurd(acc)
+
+    def __truediv__(self, other):
+        return self * (1 / Fraction(other))
+
+    def __pow__(self, exponent):
+        out = FractionSurd({1: 1})
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for i, (r, c) in enumerate(self.terms.items()):
+            body = str(abs(c)) if r == 1 else f"{abs(c)}*sqrt({r})"
+            if i == 0:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)

@@ -21,7 +21,7 @@ from qvirial import (
     to_decimal,
 )
 
-from helpers import sig_agree, surd_oracle_decimal
+from helpers import FractionSurd, sig_agree, surd_oracle_decimal
 
 
 def brute_square_split(n: int) -> tuple[int, int]:
@@ -131,6 +131,22 @@ def test_mixed_backend_rejected():
         SurdRational.sqrt_int(2) + Decimal("1.5")
     with pytest.raises(MixedBackendError):
         SurdRational.sqrt_int(2) * TruncPoly(("eps",), (2,), {(1,): 1})
+
+
+def test_hash_agrees_with_eq():
+    half = SurdRational.from_fraction(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2)}) == 1
+    assert SurdRational() == 0 and hash(SurdRational()) == hash(0)
+    assert SurdRational.from_fraction(3) == 3 and hash(SurdRational.from_fraction(3)) == hash(3)
+    assert SurdRational({8: 1}) == SurdRational({2: 2})
+    assert hash(SurdRational({8: 1})) == hash(SurdRational({2: 2}))
+    for value in (half, SurdRational({2: Fraction(-1, 8)}), SurdRational()):
+        poly = TruncPoly.constant(("eps", "mu"), (2, 1), value)
+        assert poly == value and hash(poly) == hash(value)
+    zero_poly = TruncPoly(("eps",), (2,))
+    assert zero_poly == 0 and hash(zero_poly) == hash(0)
+    assert len({TruncPoly.constant(("eps",), (2,), half), half, Fraction(1, 2)}) == 1
 
 
 def test_rational_part_accessors():
@@ -360,3 +376,61 @@ def test_exact_and_decimal_backends_agree_within_one_ulp(tree):
     decimal_str = to_decimal(_eval_tree(tree, DecimalBackend(40)), digits)
     ulp = abs(Decimal(exact_str) - Decimal(decimal_str))
     assert ulp <= Decimal(1).scaleb(-digits)
+
+
+# -- integer form against the Fraction-per-term reference ----------------------
+
+# zero, negative and non-square-free radicands: the last two must be rejected
+# alike (unless their coefficient is zero) and repeated square-free parts merged
+_raw_st = st.dictionaries(st.integers(-2, 75), fractions_st, max_size=4)
+_scalars_st = st.one_of(st.integers(-6, 6), fractions_st)
+
+
+def _build(terms):
+    try:
+        ref = FractionSurd(terms)
+    except ValueError:
+        with pytest.raises(ValueError):
+            SurdRational(terms)
+        return None
+    return SurdRational(terms), ref
+
+
+def _assert_matches(value, ref):
+    assert list(value.terms.items()) == list(ref.terms.items())
+    assert value.render() == ref.render()
+    num, den = value._num, value._den
+    assert den > 0 and math.gcd(den, *num.values()) == 1
+    assert 0 not in num.values() and list(num) == sorted(num)
+
+
+@given(_raw_st, _raw_st, _scalars_st, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_integer_form_matches_fraction_reference(a_terms, b_terms, k, e):
+    built_a, built_b = _build(a_terms), _build(b_terms)
+    if built_a is None or built_b is None:
+        return
+    (a, ra), (b, rb) = built_a, built_b
+    rk = FractionSurd({1: k})
+    _assert_matches(a, ra)
+    for value, ref in [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, ra * rb),
+        (-a, -ra),
+        (a + k, ra + rk),
+        (k + a, ra + rk),
+        (a - k, ra - rk),
+        (k - a, rk - ra),
+        (a * k, ra * k),
+        (k * a, ra * k),
+        (a ** e, ra ** e),
+    ]:
+        _assert_matches(value, ref)
+    if k:
+        _assert_matches(a / k, ra / k)
+        _assert_matches(a / SurdRational.from_fraction(k), ra / k)
+    assert (a == b) == (ra == rb)
+    assert (a == k) == (ra == rk)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert a == SurdRational(a.terms) and hash(a) == hash(SurdRational(a.terms))

@@ -232,16 +232,16 @@ def test_exact_vs_decimal_backend_agreement_smoke():
 
 @pytest.fixture(scope="module")
 def exact_budget_table():
-    """mu-q:1/3,7/5 at K=24 on the exact backend, as 100-digit decimals."""
+    """mu-q:1/3,7/5 at K=30 on the exact backend, as 100-digit decimals."""
     sf = QuadraticOfQBasic(frac(1, 3), frac(7, 5))
-    table = virial_coefficients(GasModel(sf, order=24, backend=SURD))
+    table = virial_coefficients(GasModel(sf, order=30, backend=SURD))
     return sf, [value.decimal_value(100) for value in table.values]
 
 
 @pytest.mark.parametrize("digits", [12, 20, 50])
 def test_decimal_backend_meets_its_digit_budget(exact_budget_table, digits):
     sf, exact = exact_budget_table
-    approx = virial_coefficients(GasModel(sf, order=24, backend=DecimalBackend(digits)))
+    approx = virial_coefficients(GasModel(sf, order=30, backend=DecimalBackend(digits)))
     for k, (a, e) in enumerate(zip(approx.values, exact), start=1):
         assert abs(a - e) < Decimal(10) ** -digits, k
 
