@@ -140,7 +140,7 @@ def _resolve_backend(sf, requested: Backend) -> Backend:
             raise UnsupportedBackendError(
                 "q-eps series are symbolic in eps; use the exact backend"
             )
-        return TruncPolyBackend(("eps",), (sf.order,))
+        return TruncPolyBackend(sf.order)
     return requested
 
 
@@ -224,7 +224,7 @@ def cmd_eps_expand(args) -> tuple[str, int]:
         columns = ["eps_power", "coefficient"]
         rows = []
         for i in range(args.expansion_order + 1):
-            coeff = poly.coefficient((i,))
+            coeff = poly.coefficient(i)
             rows.append([str(i), str(coeff.rational_part())])
         return _format_table(args.format, meta, columns, rows), 0
     table = monomial_expansion(args.expansion_order, args.expansion_order + 1)
@@ -446,7 +446,7 @@ def _fugacity_cubic_discrepancy() -> tuple[bool, str]:
 
 
 def _eps_comparison_lines() -> list[str]:
-    backend = TruncPolyBackend(("eps",), (3,))
+    backend = TruncPolyBackend(3)
     table = virial_coefficients(GasModel(QBasicSeries(3), order=3, backend=backend))
     v2, v3 = table.coefficient(2), table.coefficient(3)
     return [
@@ -597,8 +597,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qvirial: error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"qvirial: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -30,7 +30,7 @@ class UnsupportedOrderError(QVirialError, ValueError):
 
 
 class UnboundVariableError(QVirialError, ValueError):
-    """A truncated polynomial was used numerically without substituting its variables."""
+    """A polynomial in eps was asked for as one number (e.g. rendered decimally)."""
 
 
 class DescriptorError(QVirialError, ValueError):

@@ -9,9 +9,8 @@ Every series in this package is generic over one scalar backend:
              multiplication, and under division by nonzero rationals, which
              is all the series algebra ever needs.  It hosts every
              coefficient of the form  rational / n^(k/2).
-  truncpoly  TruncPoly -- polynomials in one or two formal deviation
-             variables (e.g. "eps", "mu") with SurdRational coefficients,
-             truncated at fixed per-variable degree bounds.
+  truncpoly  TruncPoly -- polynomials in the one formal deviation eps = q - 1
+             with SurdRational coefficients, truncated at a fixed degree.
   decimal    decimal.Decimal at a stated significant-digit budget (plus
              internal guard digits), for values that leave the surd ring.
 
@@ -282,83 +281,42 @@ class SurdRational:
 
 
 class TruncPoly:
-    """Polynomial in one or two named formal deviations, truncated at fixed bounds.
+    """Polynomial in eps = q - 1 with SurdRational coefficients, truncated at `order`.
 
-    Coefficients are SurdRational; exponent tuples never exceed the per-variable
-    bounds (arithmetic truncates, never grows bounds); zero coefficients are
-    never stored.
+    Powers above `order` are dropped (arithmetic truncates to the smaller
+    order, never grows it); zero coefficients are never stored.
     """
 
-    __slots__ = ("_vars", "_bounds", "_coeffs")
+    __slots__ = ("_order", "_coeffs")
 
     def __init__(
-        self,
-        variables: tuple[str, ...],
-        bounds: tuple[int, ...],
-        coeffs: Mapping[tuple[int, ...], SurdRational | Fraction | int] | None = None,
+        self, order: int, coeffs: Mapping[int, SurdRational | Fraction | int] | None = None
     ) -> None:
-        if not 1 <= len(variables) <= 2 or len(bounds) != len(variables):
-            raise ValueError("TruncPoly takes one or two variables with matching bounds")
-        if any(b < 0 for b in bounds):
-            raise ValueError("order bounds must be nonnegative")
-        self._vars = tuple(variables)
-        self._bounds = tuple(bounds)
-        clean: dict[tuple[int, ...], SurdRational] = {}
-        if coeffs:
-            for expo, c in coeffs.items():
-                expo = tuple(expo)
-                if len(expo) != len(self._vars) or any(e < 0 for e in expo):
-                    raise ValueError(f"bad exponent tuple {expo}")
-                if any(e > b for e, b in zip(expo, self._bounds)):
-                    continue
-                if not isinstance(c, SurdRational):
-                    c = SurdRational.from_fraction(c)
-                if c.is_zero():
-                    continue
-                prev = clean.get(expo)
-                c = c if prev is None else prev + c
-                clean[expo] = c
-        self._coeffs = {e: c for e, c in sorted(clean.items()) if not c.is_zero()}
-
-    @classmethod
-    def constant(cls, variables, bounds, value) -> "TruncPoly":
-        return cls(variables, bounds, {(0,) * len(variables): value})
-
-    @classmethod
-    def variable(cls, variables, bounds, name) -> "TruncPoly":
-        expo = tuple(1 if v == name else 0 for v in variables)
-        if 1 not in expo:
-            raise ValueError(f"{name!r} is not one of {variables}")
-        return cls(variables, bounds, {expo: Fraction(1)})
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        self._order = order
+        clean = {}
+        for power, c in sorted((coeffs or {}).items()):
+            if power < 0:
+                raise ValueError(f"bad eps power {power}")
+            if power <= order and c:
+                clean[power] = c if isinstance(c, SurdRational) else SurdRational.from_fraction(c)
+        self._coeffs = clean
 
     @property
-    def variables(self) -> tuple[str, ...]:
-        return self._vars
+    def order(self) -> int:
+        return self._order
 
     @property
-    def bounds(self) -> tuple[int, ...]:
-        return self._bounds
-
-    @property
-    def coeffs(self) -> dict[tuple[int, ...], SurdRational]:
+    def coeffs(self) -> dict[int, SurdRational]:
         return dict(self._coeffs)
 
-    def coefficient(self, expo: tuple[int, ...]) -> SurdRational:
-        return self._coeffs.get(tuple(expo), SurdRational())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def _check_compatible(self, other: "TruncPoly") -> tuple[int, ...]:
-        if self._vars != other._vars:
-            raise MixedBackendError(
-                f"cannot combine polynomials in {self._vars} with {other._vars}"
-            )
-        return tuple(min(a, b) for a, b in zip(self._bounds, other._bounds))
+    def coefficient(self, power: int) -> SurdRational:
+        return self._coeffs.get(power, SurdRational())
 
     def _as_poly(self, value) -> "TruncPoly | None":
         if isinstance(value, (int, Fraction, SurdRational)):
-            return TruncPoly.constant(self._vars, self._bounds, value)
+            return TruncPoly(self._order, {0: value})
         if isinstance(value, TruncPoly):
             return value
         if isinstance(value, Decimal):
@@ -369,17 +327,15 @@ class TruncPoly:
         other = self._as_poly(other)
         if other is None:
             return NotImplemented
-        bounds = self._check_compatible(other)
-        merged: dict[tuple[int, ...], SurdRational] = dict(self._coeffs)
+        merged = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            prev = merged.get(e)
-            merged[e] = c if prev is None else prev + c
-        return TruncPoly(self._vars, bounds, merged)
+            merged[e] = merged[e] + c if e in merged else c
+        return TruncPoly(min(self._order, other._order), merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncPoly":
-        return TruncPoly(self._vars, self._bounds, {e: -c for e, c in self._coeffs.items()})
+        return TruncPoly(self._order, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: object) -> "TruncPoly":
         other = self._as_poly(other)
@@ -392,21 +348,16 @@ class TruncPoly:
 
     def __mul__(self, other: object) -> "TruncPoly":
         if isinstance(other, (int, Fraction, SurdRational)):
-            return TruncPoly(
-                self._vars, self._bounds, {e: c * other for e, c in self._coeffs.items()}
-            )
+            return TruncPoly(self._order, {e: c * other for e, c in self._coeffs.items()})
         if isinstance(other, TruncPoly):
-            bounds = self._check_compatible(other)
-            acc: dict[tuple[int, ...], SurdRational] = {}
+            order = min(self._order, other._order)
+            acc: dict[int, SurdRational] = {}
             for e1, c1 in self._coeffs.items():
                 for e2, c2 in other._coeffs.items():
-                    expo = tuple(a + b for a, b in zip(e1, e2))
-                    if any(e > b for e, b in zip(expo, bounds)):
-                        continue
-                    val = c1 * c2
-                    prev = acc.get(expo)
-                    acc[expo] = val if prev is None else prev + val
-            return TruncPoly(self._vars, bounds, acc)
+                    e = e1 + e2
+                    if e <= order:
+                        acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+            return TruncPoly(order, acc)
         if isinstance(other, Decimal):
             raise MixedBackendError("cannot mix TruncPoly with Decimal")
         return NotImplemented
@@ -419,14 +370,13 @@ class TruncPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division of TruncPoly by zero")
-            inv = Fraction(1) / Fraction(other)
-            return self * inv
+            return self * (Fraction(1) / Fraction(other))
         raise MixedBackendError("TruncPoly can only be divided by a nonzero rational")
 
     def __pow__(self, exponent: int) -> "TruncPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("TruncPoly powers must be nonnegative integers")
-        out = TruncPoly.constant(self._vars, self._bounds, 1)
+        out = TruncPoly(self._order, {0: 1})
         for _ in range(exponent):
             out = out * self
         return out
@@ -436,53 +386,19 @@ class TruncPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, SurdRational)):
-            other = TruncPoly.constant(self._vars, self._bounds, other)
+            other = TruncPoly(self._order, {0: other})
         if isinstance(other, TruncPoly):
-            return (
-                self._vars == other._vars
-                and self._bounds == other._bounds
-                and self._coeffs == other._coeffs
-            )
+            return self._order == other._order and self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self) -> int:
         # a constant polynomial equals its coefficient, so it must hash like it
-        const = (0,) * len(self._vars)
-        if self._coeffs.keys() <= {const}:
-            return hash(self.coefficient(const))
-        return hash((self._vars, self._bounds, tuple(self._coeffs.items())))
-
-    def substitute(self, values: Mapping[str, "Fraction | int | SurdRational"]) -> "TruncPoly | SurdRational":
-        """Substitute exact values for some or all variables.
-
-        Full substitution returns a SurdRational; partial substitution returns
-        a TruncPoly over the remaining variables with their original bounds.
-        """
-        unknown = set(values) - set(self._vars)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        subst = {
-            name: val if isinstance(val, SurdRational) else SurdRational.from_fraction(val)
-            for name, val in values.items()
-        }
-        acc: dict[tuple[int, ...], SurdRational] = {}
-        for expo, c in self._coeffs.items():
-            kept: list[int] = []
-            for v, e in zip(self._vars, expo):
-                if v in subst:
-                    c = c * (subst[v] ** e)
-                else:
-                    kept.append(e)
-            key = tuple(kept)
-            acc[key] = acc[key] + c if key in acc else c
-        remaining = tuple(v for v in self._vars if v not in subst)
-        if not remaining:
-            return acc.get((), SurdRational())
-        keep_bounds = tuple(b for v, b in zip(self._vars, self._bounds) if v not in subst)
-        return TruncPoly(remaining, keep_bounds, acc)
+        if self._coeffs.keys() <= {0}:
+            return hash(self.coefficient(0))
+        return hash((self._order, tuple(self._coeffs.items())))
 
     def render(self, coeff_fmt: Callable[[SurdRational], str] | None = None) -> str:
-        """Canonical text form: '(c00) + (c10)*eps + (c01)*mu + ...' in exponent order.
+        """Canonical text form: '(c0) + (c1)*eps + (c2)*eps^2 + ...' by ascending power.
 
         `coeff_fmt` renders each coefficient in place of the exact form; with
         it, the zero polynomial renders as its one zero coefficient, '(0...)'.
@@ -491,21 +407,16 @@ class TruncPoly:
             return "0"
         fmt = coeff_fmt or SurdRational.render
         parts = []
-        for expo, c in (self._coeffs or {(0,) * len(self._vars): SurdRational()}).items():
-            factors = [f"({fmt(c)})"]
-            for v, e in zip(self._vars, expo):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            parts.append("*".join(factors))
+        for e, c in (self._coeffs or {0: SurdRational()}).items():
+            power = "" if e == 0 else "*eps" if e == 1 else f"*eps^{e}"
+            parts.append(f"({fmt(c)}){power}")
         return " + ".join(parts)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
-        return f"TruncPoly({self._vars!r}, {self._bounds!r}, {self.render()!r})"
+        return f"TruncPoly({self._order}, {self.render()!r})"
 
 
 Scalar = Union[Fraction, SurdRational, TruncPoly, Decimal]
@@ -554,10 +465,9 @@ class SurdBackend:
 
 @dataclass(frozen=True)
 class TruncPolyBackend:
-    """TruncPoly scalars over fixed variables and bounds (e.g. series in eps)."""
+    """TruncPoly scalars: polynomials in eps = q - 1 truncated at `order`."""
 
-    variables: tuple[str, ...]
-    bounds: tuple[int, ...]
+    order: int
     is_exact: ClassVar[bool] = True
 
     def arith(self):
@@ -565,24 +475,24 @@ class TruncPolyBackend:
 
     @property
     def zero(self) -> TruncPoly:
-        return TruncPoly(self.variables, self.bounds)
+        return TruncPoly(self.order)
 
     @property
     def one(self) -> TruncPoly:
-        return TruncPoly.constant(self.variables, self.bounds, 1)
+        return TruncPoly(self.order, {0: 1})
 
     def from_fraction(self, value) -> TruncPoly:
-        return TruncPoly.constant(self.variables, self.bounds, Fraction(value))
+        return TruncPoly(self.order, {0: Fraction(value)})
 
     def from_surd(self, value: SurdRational) -> TruncPoly:
-        return TruncPoly.constant(self.variables, self.bounds, value)
+        return TruncPoly(self.order, {0: value})
 
     def half_power(self, n: int, k: int) -> TruncPoly:
         return self.from_surd(half_power(n, k))
 
     def invert_unit(self, scalar: TruncPoly) -> TruncPoly:
-        const = scalar.coefficient((0,) * len(self.variables))
-        if scalar.is_zero() or scalar != const:
+        const = scalar.coefficient(0)
+        if not scalar or scalar != const:
             raise ZeroLinearCoefficientError(
                 "linear coefficient must be a constant polynomial to invert"
             )
@@ -593,8 +503,7 @@ class TruncPolyBackend:
         return self.from_fraction(Fraction(1) / const.rational_part())
 
     def describe(self) -> str:
-        spec = ",".join(f"{v}<={b}" for v, b in zip(self.variables, self.bounds))
-        return f"truncpoly[{spec}]"
+        return f"truncpoly[eps<={self.order}]"
 
 
 @dataclass(frozen=True)
@@ -690,13 +599,14 @@ def to_decimal(scalar: Scalar, digits: int) -> str:
     routine: a Decimal or Fraction is an exact rational, and an irrational
     surd sum is bracketed between integers until the rounding is certain
     (surds with distinct radicands are linearly independent over Q, so such a
-    sum is never exactly a tie).  TruncPoly values must be substituted first.
+    sum is never exactly a tie).  A TruncPoly has no single value: render its
+    coefficients instead.
     """
     if digits < 1:
         raise ValueError("digit budget must be >= 1")
     if isinstance(scalar, TruncPoly):
         raise UnboundVariableError(
-            f"substitute values for {scalar.variables} before rendering decimally"
+            f"{scalar.render()} is a polynomial in eps; render its coefficients decimally"
         )
     if isinstance(scalar, SurdRational):
         if not scalar.is_rational():

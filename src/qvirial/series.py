@@ -1,9 +1,11 @@
-"""Truncated formal power series: arithmetic, composition, reversion, and the
+"""Truncated formal power series: products, composition, reversion, and the
 generalized Jackson / Euler operators.
 
 A PowerSeries holds exactly K+1 coefficients c_0..c_K of one backend (zeros
 stored explicitly, so order bookkeeping stays honest).  Operations never
-extend K; combining series of different K truncates to the smaller.
+extend K; a product or composition of series of different K truncates to the
+smaller.  The series carry no sum or scalar product: the gas pipeline needs
+only the operations below.
 
 The two operators that drive the gas pipeline:
 
@@ -54,21 +56,6 @@ class PowerSeries:
         self.backend = backend
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def from_terms(
-        cls, var: str, backend: Backend, order: int, terms: dict[int, Scalar]
-    ) -> "PowerSeries":
-        zero = backend.zero
-        return cls(var, backend, [terms.get(n, zero) for n in range(order + 1)])
-
-    @classmethod
-    def zero(cls, var: str, backend: Backend, order: int) -> "PowerSeries":
-        return cls(var, backend, [backend.zero] * (order + 1))
-
-    @classmethod
-    def identity(cls, var: str, backend: Backend, order: int) -> "PowerSeries":
-        return cls.from_terms(var, backend, order, {1: backend.one})
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -102,26 +89,6 @@ class PowerSeries:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         return min(self.order, other.order)
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        k = self._align(other)
-        with self.backend.arith():
-            return PowerSeries(
-                self.var, self.backend,
-                [self.coeffs[n] + other.coeffs[n] for n in range(k + 1)],
-            )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        k = self._align(other)
-        with self.backend.arith():
-            return PowerSeries(
-                self.var, self.backend,
-                [self.coeffs[n] - other.coeffs[n] for n in range(k + 1)],
-            )
-
-    def __neg__(self) -> "PowerSeries":
-        with self.backend.arith():
-            return PowerSeries(self.var, self.backend, [-c for c in self.coeffs])
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = self._align(other)
         a, b = self.coeffs, other.coeffs
@@ -138,15 +105,6 @@ class PowerSeries:
                         continue
                     out[i + j] = out[i + j] + ai * bj
             return PowerSeries(self.var, self.backend, out)
-
-    def scale(self, scalar: Scalar) -> "PowerSeries":
-        with self.backend.arith():
-            return PowerSeries(self.var, self.backend, [c * scalar for c in self.coeffs])
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries(self.var, self.backend, self.coeffs[: order + 1])
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:

@@ -204,12 +204,11 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
     if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic)):
         return backend.from_fraction(_rational_value(sf, n))
     if isinstance(sf, QBasicSeries):
-        if not isinstance(backend, TruncPolyBackend) or backend.variables != ("eps",):
+        if not isinstance(backend, TruncPolyBackend):
             raise UnsupportedBackendError(
                 "QBasicSeries evaluates only on a TruncPoly backend in eps"
             )
-        order = min(sf.order, backend.bounds[0])
-        return eval_eps(n, order, bound=backend.bounds[0])
+        return eval_eps(n, min(sf.order, backend.order), bound=backend.order)
     if isinstance(sf, Interpolated) and sf.t == 1:
         return eval_structure(QuadraticOfQBasic(sf.mu, sf.q), n, backend)
     if isinstance(sf, (QBasicOfQuadratic, Interpolated)):
@@ -242,7 +241,7 @@ def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:
     """[n]_q at q = 1 + eps: the exact polynomial sum_i C(n, i+1) * eps**i.
 
     The polynomial has true degree n - 1; `order` truncates it.  `bound` sets
-    the TruncPoly order bound (defaults to `order`) so results can live
+    the TruncPoly's order (defaults to `order`) so results can live
     alongside scalars of a wider backend.
     """
     if n < 0:
@@ -250,8 +249,8 @@ def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:
     if order < 0:
         raise ValueError("order must be nonnegative")
     bound = order if bound is None else bound
-    coeffs = {(i,): Fraction(math.comb(n, i + 1)) for i in range(min(order, n - 1) + 1)}
-    return TruncPoly(("eps",), (bound,), coeffs)
+    coeffs = {i: Fraction(math.comb(n, i + 1)) for i in range(min(order, n - 1) + 1)}
+    return TruncPoly(bound, coeffs)
 
 
 def stirling_first(m: int, k: int) -> int:

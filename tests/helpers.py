@@ -1,13 +1,13 @@
-"""Shared test utilities: independent decimal oracles, comparison helpers, a
-Horner reference for series composition and a Fraction-per-term reference for
-the surd ring."""
+"""Shared test utilities: independent decimal oracles, comparison helpers, the
+identity series, a Horner reference for series composition and a
+Fraction-per-term reference for the surd ring."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 import math
 import random
 
-from qvirial import PowerSeries, radical_normalize
+from qvirial import PowerSeries, SURD, radical_normalize
 
 
 def surd_oracle_decimal(terms: dict[int, Fraction], prec: int = 60) -> Decimal:
@@ -44,6 +44,11 @@ def rand_positive_q(rng: random.Random, max_den: int = 12) -> Fraction:
             return q
 
 
+def identity_series(var: str, order: int) -> PowerSeries:
+    """The surd series var + 0*var**2 + ... + 0*var**order."""
+    return PowerSeries(var, SURD, [SURD.zero, SURD.one] + [SURD.zero] * (order - 1))
+
+
 def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """outer(inner) by Horner's rule, truncated at min(K_outer, K_inner): a
     reference for compose's power-sum form (the inner needs c_0 = 0)."""
@@ -51,7 +56,7 @@ def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     backend = outer.backend
     with backend.arith():
         inner_k = PowerSeries(inner.var, backend, inner.coeffs[: k + 1])
-        acc = PowerSeries.from_terms(inner.var, backend, k, {0: outer.coeffs[k]})
+        acc = PowerSeries(inner.var, backend, [outer.coeffs[k]] + [backend.zero] * k)
         for j in range(k - 1, -1, -1):
             acc = acc * inner_k
             acc = PowerSeries(

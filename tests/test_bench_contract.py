@@ -1,5 +1,5 @@
 """The benchmark's per-layer contract: every declared per-layer metric is
-measured on an exact and on a decimal job.
+measured on an exact, a decimal and a truncated-polynomial (q-eps) job.
 
 perfbench/tracing.py wraps qvirial's layer functions at the names their
 callers look them up by.  A change that stops calling one of them (say,
@@ -40,7 +40,8 @@ print(json.dumps({"code": code, "missing": sorted(declared - set(metrics))}))
 @pytest.mark.parametrize("argv", [
     ["virial", "--sf", "mu:1/5", "--K", "6"],
     ["virial", "--sf", "q-mu:3/2,1/7", "--K", "10", "--backend", "decimal:20"],
-], ids=["exact", "decimal"])
+    ["virial", "--sf", "q-eps:order=3", "--K", "5"],
+], ids=["exact", "decimal", "truncpoly"])
 def test_declared_layer_metrics_present(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     done = subprocess.run(

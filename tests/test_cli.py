@@ -106,6 +106,16 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == GOLDEN_VIRIAL_CSV
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    # an --out path is user input: a missing directory or a directory as the
+    # target is a usage error, not a traceback
+    for target in (tmp_path / "missing" / "table.csv", tmp_path):
+        code, out, err = run_cli(capsys, "virial", "--sf", "mu:1/2", "--K", "3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"qvirial: error: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- sweep ---------------------------------------------------------------------
 
 

@@ -290,18 +290,15 @@ def test_gas_model_requires_order_two():
 
 
 def test_eps_virial_table_polynomials():
-    backend = TruncPolyBackend(("eps",), (2,))
+    backend = TruncPolyBackend(2)
     table = virial_coefficients(GasModel(QBasicSeries(2), order=3, backend=backend))
     v2 = table.coefficient(2)
     # V2(eps) = -(2 + eps)/2^(7/2)
-    assert v2 == TruncPoly(
-        ("eps",), (2,),
-        {(0,): SurdRational({2: frac(-1, 8)}), (1,): SurdRational({2: frac(-1, 16)})},
-    )
+    assert v2 == TruncPoly(2, {0: SurdRational({2: frac(-1, 8)}), 1: SurdRational({2: frac(-1, 16)})})
     v3 = table.coefficient(3)
-    assert v3.coefficient((0,)) == UNDEFORMED_EXACT[3]
-    assert v3.coefficient((1,)) == UNDEFORMED_EXACT[3]  # eps-slope equals the flat value
-    assert v3.coefficient((2,)) == SurdRational({1: frac(1, 32), 3: frac(-2, 81)})
+    assert v3.coefficient(0) == UNDEFORMED_EXACT[3]
+    assert v3.coefficient(1) == UNDEFORMED_EXACT[3]  # eps-slope equals the flat value
+    assert v3.coefficient(2) == SurdRational({1: frac(1, 32), 3: frac(-2, 81)})
     assert table.first_nonpositive_phi is None
     # closed forms evaluate on the same backend and must agree
     assert closed_form_virial(QBasicSeries(2), 3, "corrected", backend) == v3
