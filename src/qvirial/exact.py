@@ -14,6 +14,10 @@ Every series in this package is generic over one scalar backend:
   decimal    decimal.Decimal at a stated significant-digit budget (plus
              internal guard digits), for values that leave the surd ring.
 
+Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
+xs[i]*ys[i] (inside `arith()`); the surd `dot` sums integer numerators over one
+running common denominator and normalizes once per sum, not once per term.
+
 Values are immutable and the operations are pure functions, so everything
 here is safe to share between threads.
 """
@@ -21,6 +25,7 @@ here is safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -193,12 +198,7 @@ class SurdRational:
             n, d = other.as_integer_ratio()
             return _surd({r: c * n for r, c in self._num.items()}, self._den * d)
         if isinstance(other, SurdRational):
-            acc: dict[int, int] = {}
-            for r1, n1 in self._num.items():
-                for r2, n2 in other._num.items():
-                    rad, g = _radicand_product(r1, r2)
-                    acc[rad] = acc.get(rad, 0) + n1 * n2 * g
-            return _surd(acc, self._den * other._den)
+            return SURD.dot((self,), (other,))
         if isinstance(other, (Decimal, TruncPoly)):
             raise MixedBackendError(f"cannot mix SurdRational with {type(other).__name__}")
         return NotImplemented
@@ -222,13 +222,8 @@ class SurdRational:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("SurdRational powers must be nonnegative integers")
         out = SurdRational.from_fraction(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            out = out * self
         return out
 
     def __bool__(self) -> bool:
@@ -459,6 +454,24 @@ class SurdBackend:
             )
         return SurdRational.from_fraction(Fraction(1) / scalar.rational_part())
 
+    def dot(self, xs, ys) -> SurdRational:
+        """sum_i xs[i]*ys[i] for equally long xs, ys, normalized once."""
+        acc, den = {}, 1
+        for x, y in zip(xs, ys, strict=True):
+            if not (x._num and y._num):
+                continue
+            d = x._den * y._den
+            if den % d:  # rescale the accumulator to a common multiple of d
+                s = d // math.gcd(den, d)
+                acc, den = {r: n * s for r, n in acc.items()}, den * s
+            s = den // d
+            for r1, n1 in x._num.items():
+                n1 *= s
+                for r2, n2 in y._num.items():
+                    rad, g = _radicand_product(r1, r2)
+                    acc[rad] = acc.get(rad, 0) + n1 * n2 * g
+        return _surd(acc, den)
+
     def describe(self) -> str:
         return "exact"
 
@@ -501,6 +514,9 @@ class TruncPolyBackend:
                 f"linear coefficient {const.render()} is not an invertible rational"
             )
         return self.from_fraction(Fraction(1) / const.rational_part())
+
+    def dot(self, xs, ys) -> TruncPoly:
+        return sum(map(operator.mul, xs, ys), self.zero)
 
     def describe(self) -> str:
         return f"truncpoly[eps<={self.order}]"
@@ -546,6 +562,9 @@ class DecimalBackend:
             raise ZeroLinearCoefficientError("cannot invert zero")
         with self.arith():
             return Decimal(1) / scalar
+
+    def dot(self, xs, ys) -> Decimal:
+        return sum(map(operator.mul, xs, ys), self.zero)
 
     def describe(self) -> str:
         return f"decimal:{self.digits}"

@@ -2,10 +2,11 @@
 generalized Jackson / Euler operators.
 
 A PowerSeries holds exactly K+1 coefficients c_0..c_K of one backend (zeros
-stored explicitly, so order bookkeeping stays honest).  Operations never
-extend K; a product or composition of series of different K truncates to the
-smaller.  The series carry no sum or scalar product: the gas pipeline needs
-only the operations below.
+stored explicitly, so order bookkeeping stays honest; ints and Fractions are
+converted to backend scalars).  Operations never extend K; a product or
+composition of series of different K truncates to the smaller.  The series
+carry no sum or scalar product: the gas pipeline needs only the operations
+below.
 
 The two operators that drive the gas pipeline:
 
@@ -21,10 +22,15 @@ zero low coefficients, so the j-th product costs about (K-j)**2/2 ring
 multiplications, about K**3/6 in all against Horner's K**3/2.  `revert`
 computes the compositional inverse order by order (a triangular solve
 equivalent to Lagrange inversion), exactly over exact backends.
+
+Cost model: each inner loop (a product's output coefficient, an entry or the
+residual of revert's power table) is one backend `dot`: the ring products of
+one operator per term, but on surds one normalization per sum, not per term.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -54,7 +60,9 @@ class PowerSeries:
             raise ValueError("a series needs at least the constant coefficient")
         self.var = var
         self.backend = backend
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(  # type(), not isinstance(): Fraction's ABC check is slow
+            backend.from_fraction(c) if type(c) in (int, Fraction) else c for c in coeffs
+        )
 
     @property
     def order(self) -> int:
@@ -92,19 +100,15 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = self._align(other)
         a, b = self.coeffs, other.coeffs
-        zero = self.backend.zero
-        with self.backend.arith():
-            out = [zero] * (k + 1)
-            for i in range(min(len(a) - 1, k) + 1):
-                ai = a[i]
-                if not ai:
-                    continue
-                for j in range(min(len(b) - 1, k - i) + 1):
-                    bj = b[j]
-                    if not bj:
-                        continue
-                    out[i + j] = out[i + j] + ai * bj
-            return PowerSeries(self.var, self.backend, out)
+        # first nonzero index of each factor (k + 1 if none): terms below add nothing
+        lo_a, lo_b = (next((i for i in range(k + 1) if c[i]), k + 1) for c in (a, b))
+        rb, backend = b[k::-1], self.backend  # rb[k - j] = b[j]
+        with backend.arith():
+            # [x^n] = sum_{i=lo_a}^{n-lo_b} a[i]*b[n-i] by ascending i (zero for n < lo_a + lo_b)
+            out = [backend.zero] * min(lo_a + lo_b, k + 1)
+            for n in range(lo_a + lo_b, k + 1):
+                out.append(backend.dot(a[lo_a:n - lo_b + 1], rb[k - n + lo_a:k - lo_b + 1]))
+            return PowerSeries(self.var, backend, out)
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -154,25 +158,17 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
     inv_c1 = backend.invert_unit(f.coeffs[1])
     if var is None:
         var = "x" if f.var == "z" else "z"
-    zero = backend.zero
+    zero, dot = backend.zero, backend.dot
     with backend.arith():
         g: list[Scalar] = [zero, inv_c1]
         # power[j] holds [x^m] g**j for the g known so far; power[1] aliases g
         power: list[list[Scalar]] = [[], g]
         for m in range(2, k + 1):
             power.append([zero] * m)  # row for j = m, filled below
-            residual = zero
             for j in range(2, m + 1):
-                row_prev, row = power[j - 1], power[j]
-                coeff = zero
-                for i in range(j - 1, m):
-                    prev = row_prev[i]
-                    if not prev:
-                        continue
-                    coeff = coeff + prev * g[m - i]
-                row.append(coeff)
-                if f.coeffs[j]:
-                    residual = residual + f.coeffs[j] * coeff
+                # [x^m] g**j = sum_{i = j-1}^{m-1} [x^i] g**(j-1) * g[m - i]
+                power[j].append(dot(power[j - 1][j - 1:m], g[m - j + 1:0:-1]))
+            residual = dot(f.coeffs[2:m + 1], [row[m] for row in power[2:]])
             g.append(-residual * inv_c1)
         return PowerSeries(var, backend, g)
 

@@ -1,6 +1,7 @@
 """Shared test utilities: independent decimal oracles, comparison helpers, the
-identity series, a Horner reference for series composition and a
-Fraction-per-term reference for the surd ring."""
+identity series, operator-per-term references for series products, reversion
+and composition (Horner), and a Fraction-per-term reference for the surd
+ring."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -64,6 +65,49 @@ def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
                 (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:],
             )
         return acc
+
+
+def convolve(left: PowerSeries, right: PowerSeries) -> PowerSeries:
+    """left * right truncated at the smaller order by the double loop over
+    nonzero coefficient pairs, one ring operation per term: a reference for
+    PowerSeries.__mul__'s dot products."""
+    k = min(left.order, right.order)
+    a, b = left.coeffs, right.coeffs
+    backend = left.backend
+    with backend.arith():
+        out = [backend.zero] * (k + 1)
+        for i in range(k + 1):
+            if not a[i]:
+                continue
+            for j in range(k - i + 1):
+                if b[j]:
+                    out[i + j] = out[i + j] + a[i] * b[j]
+        return PowerSeries(left.var, backend, out)
+
+
+def loop_revert(f: PowerSeries, var: str = "x") -> PowerSeries:
+    """The compositional inverse of f (c_0 = 0, invertible c_1) by the power
+    table filled one ring operation per term: a reference for revert's dot
+    products."""
+    k, backend = f.order, f.backend
+    zero = backend.zero
+    inv_c1 = backend.invert_unit(f.coeffs[1])
+    with backend.arith():
+        g = [zero, inv_c1]
+        power = [[], g]  # power[j][m] = [x^m] g**j; power[1] aliases g
+        for m in range(2, k + 1):
+            power.append([zero] * m)
+            residual = zero
+            for j in range(2, m + 1):
+                coeff = zero
+                for i in range(j - 1, m):
+                    if power[j - 1][i]:
+                        coeff = coeff + power[j - 1][i] * g[m - i]
+                power[j].append(coeff)
+                if f.coeffs[j]:
+                    residual = residual + f.coeffs[j] * coeff
+            g.append(-residual * inv_c1)
+        return PowerSeries(var, backend, g)
 
 
 class FractionSurd:

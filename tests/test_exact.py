@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvirial import (
     DecimalBackend,
@@ -441,3 +441,65 @@ def test_integer_form_matches_fraction_reference(a_terms, b_terms, k, e):
     assert (a == k) == (ra == rk)
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert a == SurdRational(a.terms) and hash(a) == hash(SurdRational(a.terms))
+
+
+# -- backend dot products against the left-to-right operator sum ---------------
+
+
+def _operator_sum(zero, xs, ys):
+    total = zero
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def _pairs_st(elements):
+    # empty lists included; the two sides always have equal length
+    return st.lists(st.tuples(elements, elements), max_size=7).map(
+        lambda pairs: ([x for x, _ in pairs], [y for _, y in pairs])
+    )
+
+
+# multi-radicand sums with zeros; radicands 2, 3, 6, 10, 15 merge in products
+# (sqrt(6)*sqrt(2) = 2*sqrt(3)), and denominators up to 12 include pairs such
+# as 8 and 12 where neither divides the other, so the accumulator is rescaled
+@given(_pairs_st(st.one_of(st.just(SurdRational()), surds_st)))
+@example(([], []))
+@example((  # denominators 8 then 12, sqrt(6)*sqrt(2) = 2*sqrt(3), a zero term, and a
+    # last term that cancels the sqrt(3) part, so the sum must be reduced to 3/8*sqrt(2)
+    [SurdRational({1: Fraction(1, 8)}), SurdRational({6: Fraction(1, 3)}), SurdRational(),
+     SurdRational({3: Fraction(-1, 6)})],
+    [SurdRational({2: 3}), SurdRational({2: Fraction(1, 4)}), SurdRational({1: 5}),
+     SurdRational({1: 1})],
+))
+@settings(max_examples=120, deadline=None)
+def test_surd_dot_matches_operator_sum(pair):
+    xs, ys = pair
+    value = SURD.dot(xs, ys)
+    assert value == _operator_sum(SURD.zero, xs, ys)
+    # SurdRational * is a one-term dot, so the Fraction-per-term ring is the
+    # reference that shares no code with it
+    ref_xs, ref_ys = ([FractionSurd(v.terms) for v in side] for side in pair)
+    _assert_matches(value, _operator_sum(FractionSurd(), ref_xs, ref_ys))
+
+
+def test_surd_dot_rejects_unequal_lengths():
+    with pytest.raises(ValueError):
+        SURD.dot([SURD.one, SURD.one], [SURD.one])
+
+
+@given(_pairs_st(truncpolys_st()))
+@settings(max_examples=25, deadline=None)
+def test_truncpoly_dot_matches_operator_sum(pair):
+    backend = TruncPolyBackend(3)
+    xs, ys = pair
+    assert backend.dot(xs, ys) == _operator_sum(backend.zero, xs, ys)
+
+
+@given(_pairs_st(st.one_of(st.just(0), fractions_st)))
+@settings(max_examples=60, deadline=None)
+def test_decimal_dot_matches_operator_sum(pair):
+    backend = DecimalBackend(50)
+    xs, ys = ([backend.from_fraction(v) for v in side] for side in pair)
+    with backend.arith():
+        assert backend.dot(xs, ys) == _operator_sum(backend.zero, xs, ys)

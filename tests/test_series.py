@@ -28,7 +28,7 @@ from qvirial import (
     revert,
 )
 
-from helpers import horner_compose, identity_series, rand_fraction
+from helpers import convolve, horner_compose, identity_series, loop_revert, rand_fraction
 
 
 def surd_series(coeffs, var="z"):
@@ -47,6 +47,17 @@ def test_mul_truncates():
     assert one_plus * one_minus == surd_series([1, 0])
     padded = surd_series([1, 1, 0]) * surd_series([1, -1, 0])
     assert padded == surd_series([1, 0, -1])
+
+
+def test_rational_coefficients_become_backend_scalars():
+    # int and Fraction coefficients are converted once, so every operation,
+    # revert's invert_unit included, sees SurdRationals
+    plain = PowerSeries("z", SURD, [0, 1, Fraction(1, 2), 3])
+    built = surd_series([0, 1, Fraction(1, 2), 3])
+    assert plain * plain == built * built
+    assert compose(plain, plain) == compose(built, built)
+    assert revert(plain) == revert(built)
+    assert all(isinstance(c, SurdRational) for c in plain.coeffs)
 
 
 def test_add_requires_same_backend_and_var():
@@ -189,6 +200,89 @@ def test_compose_order_zero():
     constant = surd_series([Fraction(3, 4)])
     assert compose(outer, surd_series([0])) == constant
     assert compose(constant, surd_series([0, 1])) == constant
+
+
+# -- dot-product loops against the per-term references --------------------------
+
+
+# multi-radicand sums, zero included; sqrt(6)*sqrt(2) = 2*sqrt(3) merges radicands
+multi_surd_st = st.dictionaries(
+    st.sampled_from([1, 2, 3, 6]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    max_size=3,
+).map(SurdRational)
+
+
+def _padded_series_st():
+    # leading zeros, then coefficients that are often zero; all-zero series included
+    coeffs = st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), min_size=1, max_size=8)
+    return st.tuples(st.integers(0, 3), coeffs).map(
+        lambda t: PowerSeries("z", SURD, [SURD.zero] * t[0] + t[1])
+    )
+
+
+@given(_padded_series_st(), _padded_series_st())
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_convolve(left, right):
+    product = left * right
+    assert product == convolve(left, right)
+    assert product.order == min(left.order, right.order)
+
+
+nonzero_rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+
+
+@given(nonzero_rational_st, st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_revert_matches_loop_revert(c1, tail):
+    f = PowerSeries("z", SURD, [0, c1] + tail)
+    assert revert(f) == loop_revert(f)
+
+
+def test_loops_match_references_on_truncpoly_and_decimal():
+    backend = TruncPolyBackend(3)
+    eps = TruncPoly(3, {1: 1})
+    surd = backend.from_surd
+    f = PowerSeries("z", backend, [
+        backend.zero, backend.from_fraction(Fraction(2, 3)), eps, backend.zero,
+        surd(SurdRational({2: Fraction(-1, 3)})) * eps + surd(half_power(3, 1)), eps * eps,
+    ])
+    h = PowerSeries("z", backend, [backend.zero, 0, backend.one + eps, surd(half_power(2, 5))])
+    assert f * h == convolve(f, h)
+    assert revert(f) == loop_revert(f)
+
+    decimal = DecimalBackend(50)
+    coeffs = [0, Fraction(3, 7), Fraction(-1, 3), 0, Fraction(5, 11), Fraction(2, 9)]
+    f = PowerSeries("z", decimal, coeffs + [Fraction(-7, 13)] + [Fraction(1, 17)] * 6)
+    h = PowerSeries("z", decimal, [0, 0] + coeffs[::-1])
+    assert f * h == convolve(f, h)
+    assert f * f == convolve(f, f)
+    assert revert(f) == loop_revert(f)
+
+
+def test_series_loops_call_no_per_term_surd_operators(monkeypatch):
+    # a silent fallback to one SurdRational * and + per term would show here
+    tail = [SurdRational({n: Fraction(1, n), 1: -1}) for n in range(2, 9)]
+    f = PowerSeries("z", SURD, [SURD.zero, SURD.one] + tail)
+    calls = {"mul": 0, "add": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    for kind in ("mul", "add"):
+        for attr in (f"__{kind}__", f"__r{kind}__"):
+            monkeypatch.setattr(SurdRational, attr, counted(kind, getattr(SurdRational, attr)))
+    g = revert(f)
+    # only g_m = -residual / c_1, once per coefficient after the linear one
+    assert calls == {"mul": f.order - 1, "add": 0}
+    calls.update(mul=0, add=0)
+    f * PowerSeries("z", SURD, g.coeffs)
+    assert calls == {"mul": 0, "add": 0}
+    monkeypatch.undo()
+    assert g == loop_revert(f)
 
 
 # -- operators -----------------------------------------------------------------
