@@ -15,8 +15,9 @@ Every series in this package is generic over one scalar backend:
              internal guard digits), for values that leave the surd ring.
 
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
-xs[i]*ys[i] (inside `arith()`); the surd `dot` sums integer numerators over one
-running common denominator and normalizes once per sum, not once per term.
+xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
+equally long; the surd `dot` sums integer numerators over one running common
+denominator and normalizes once per sum, not once per term.
 
 Values are immutable and the operations are pure functions, so everything
 here is safe to share between threads.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 from typing import Callable, ClassVar, Mapping, Union
 
 from .errors import (
@@ -516,7 +518,7 @@ class TruncPolyBackend:
         return self.from_fraction(Fraction(1) / const.rational_part())
 
     def dot(self, xs, ys) -> TruncPoly:
-        return sum(map(operator.mul, xs, ys), self.zero)
+        return sum(starmap(operator.mul, zip(xs, ys, strict=True)), self.zero)
 
     def describe(self) -> str:
         return f"truncpoly[eps<={self.order}]"
@@ -564,7 +566,7 @@ class DecimalBackend:
             return Decimal(1) / scalar
 
     def dot(self, xs, ys) -> Decimal:
-        return sum(map(operator.mul, xs, ys), self.zero)
+        return sum(starmap(operator.mul, zip(xs, ys, strict=True)), self.zero)
 
     def describe(self) -> str:
         return f"decimal:{self.digits}"

@@ -16,12 +16,14 @@ The two operators that drive the gas pipeline:
   euler_inverse(f)       c_n -> c_n / n           (its undeformed inverse,
                          defined for series with no constant term)
 
-`compose` evaluates outer(inner) as the power sum sum_j o_j * inner**j
-(Brent & Kung, J. ACM 25, 1978).  Each power starts at x**j and products skip
-zero low coefficients, so the j-th product costs about (K-j)**2/2 ring
-multiplications, about K**3/6 in all against Horner's K**3/2.  `revert`
-computes the compositional inverse order by order (a triangular solve
-equivalent to Lagrange inversion), exactly over exact backends.
+`compose` cuts outer into blocks of m = isqrt(K) + 1 coefficients and adds
+the blocks by Horner's rule in inner**m (Paterson & Stockmeyer, SIAM J.
+Comput. 2, 1973; Brent & Kung, J. ACM 25, 1978, section 2): about m*K**2/2
+ring products build the baby powers and K**3/(6m) the giant steps, against
+K**3/6 for the power sum sum_j o_j * inner**j.  Up to order 16, `revert` is a
+triangular solve (Lagrange inversion, about K**3/6 products); above it, one
+Newton step g - g'*(f(g) - x) doubles the order of the inverse of f's first
+half for one `compose` and one half-length product, exactly on exact backends.
 
 Cost model: each inner loop (a product's output coefficient, an entry or the
 residual of revert's power table) is one backend `dot`: the ring products of
@@ -31,6 +33,7 @@ one operator per term, but on surds one normalization per sum, not per term.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -48,6 +51,8 @@ __all__ = [
     "jackson_apply",
     "euler_inverse",
 ]
+
+_DIRECT_REVERT_ORDER = 16  # revert solves longer series by Newton steps
 
 
 class PowerSeries:
@@ -114,9 +119,8 @@ class PowerSeries:
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """outer(inner), truncated at min(K_outer, K_inner); inner needs c_0 = 0.
 
-    Sums o_j * [x^m] inner**j into the output for m >= j, building each power
-    as the previous one times inner.  Zero o_j and zero power coefficients add
-    nothing, and the power after the last one used is never built.
+    With u = inner/x, acc_i = B_i + x**m u**m acc_(i+1) for the blocks
+    B_i = sum_{r<m} o_{im+r} x**r u**r, each cut to the order it still needs.
     """
     if outer.backend != inner.backend:
         raise MixedBackendError(
@@ -125,29 +129,36 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     if inner.coeffs[0]:
         raise NonzeroConstantTermError("compose needs an inner series with zero constant term")
     k = min(outer.order, inner.order)
-    backend = outer.backend
+    m = isqrt(k) + 1
+    backend, o, var = outer.backend, outer.coeffs, inner.var
+    zero, dot = backend.zero, backend.dot
     with backend.arith():
-        inner_k = PowerSeries(inner.var, backend, inner.coeffs[: k + 1])
-        out = [outer.coeffs[0]] + [backend.zero] * k
-        power = inner_k  # inner**j, whose coefficients below x**j are zero
-        for j in range(1, k + 1):
-            o_j = outer.coeffs[j]
-            if o_j:
-                for m in range(j, k + 1):
-                    if power.coeffs[m]:
-                        out[m] = out[m] + o_j * power.coeffs[m]
-            if j < k:
-                power = power * inner_k
-        return PowerSeries(inner.var, backend, out)
+        # pw[r] = u**r to order k - r, the last order at which x**r u**r counts
+        pw = [(backend.one,) + (zero,) * k, inner.coeffs[1:k + 1]]
+        for r in range(2, min(m, k) + 1):
+            u = PowerSeries(var, backend, pw[1][:k - r + 1])
+            pw.append((u * PowerSeries(var, backend, pw[-1])).coeffs)
+        acc: list[Scalar] = []
+        for i in range(k // m, -1, -1):
+            low, top = m * i, k - m * i  # B_i starts at o_low; acc_i is needed to x**top
+            block = [dot(o[low:low + min(m, n + 1)], [pw[r][n - r] for r in range(min(m, n + 1))])
+                     for n in range(top + 1)]
+            if acc:
+                giant = PowerSeries(var, backend, pw[m]) * PowerSeries(var, backend, acc)
+                block[m:] = [b + c for b, c in zip(block[m:], giant.coeffs)]
+            acc = block
+        return PowerSeries(var, backend, acc)
 
 
 def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
     """Compositional inverse g with compose(f, g) = identity to order K.
 
     Needs c_0 = 0 and an invertible rational c_1 (every series in the gas
-    pipeline has c_1 = phi(1) = 1).  Solved coefficient by coefficient: the
-    power table P[j][m] = [x^m] g**j is filled from already-known lower-order
-    coefficients, and each new g_m makes [x^m] f(g) vanish.
+    pipeline has c_1 = phi(1) = 1).  Up to order 16, solved coefficient by
+    coefficient: the power table P[j][m] = [x^m] g**j is filled from known
+    lower-order coefficients, and each new g_m makes [x^m] f(g) vanish.  Above
+    it, the inverse g to order n = ceil(K/2) becomes g - g'*(f(g) - x),
+    exact to order 2n.
     """
     if f.coeffs[0]:
         raise NonzeroConstantTermError("revert needs a series with zero constant term")
@@ -159,6 +170,14 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
     if var is None:
         var = "x" if f.var == "z" else "z"
     zero, dot = backend.zero, backend.dot
+    if k > _DIRECT_REVERT_ORDER:
+        n = (k + 1) // 2
+        half = revert(PowerSeries(f.var, backend, f.coeffs[:n + 1]), var).coeffs
+        with backend.arith():
+            f_half = compose(f, PowerSeries(var, backend, half + (zero,) * (k - n))).coeffs
+            residual = PowerSeries(var, backend, [-c for c in f_half[n + 1:]])  # from x**(n+1)
+            slope = PowerSeries(var, backend, [a * half[a] for a in range(1, k - n + 1)])
+            return PowerSeries(var, backend, half + (residual * slope).coeffs)
     with backend.arith():
         g: list[Scalar] = [zero, inv_c1]
         # power[j] holds [x^m] g**j for the g known so far; power[1] aliases g

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DescriptorError, UnsupportedBackendError
 from .exact import (
@@ -62,14 +63,10 @@ __all__ = [
 
 
 def basic_number(q: Fraction, n: int) -> Fraction:
-    """[n]_q as the geometric sum 1 + q + ... + q**(n-1) (exact, q = 1 allowed)."""
+    """[n]_q = 1 + q + ... + q**(n-1) = (1 - q**n)/(1 - q) (exact, q = 1 allowed)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total, power = Fraction(0), Fraction(1)
-    for _ in range(n):
-        total += power
-        power *= q
-    return total
+    return Fraction(n) if q == 1 else Fraction(1 - q**n, 1 - q)
 
 
 def quadratic_number(mu: Fraction, n: int) -> Fraction:
@@ -233,8 +230,15 @@ def _qbasic_of_quadratic_decimal(sf: QBasicOfQuadratic, n: int, backend: Decimal
         power = q_dec ** int(exponent)
     else:
         e_dec = backend.from_fraction(exponent)
-        power = (e_dec * q_dec.ln()).exp()
+        power = (e_dec * _decimal_ln(sf.q, backend)).exp()
     return (1 - power) / (1 - q_dec)
+
+
+@lru_cache(maxsize=1)
+def _decimal_ln(q: Fraction, backend: DecimalBackend):
+    """ln q in the backend's context, kept for the one table being evaluated."""
+    with backend.arith():
+        return backend.from_fraction(q).ln()
 
 
 def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:

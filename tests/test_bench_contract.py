@@ -41,7 +41,9 @@ print(json.dumps({"code": code, "missing": sorted(declared - set(metrics))}))
     ["virial", "--sf", "mu:1/5", "--K", "6"],
     ["virial", "--sf", "q-mu:3/2,1/7", "--K", "10", "--backend", "decimal:20"],
     ["virial", "--sf", "q-eps:order=3", "--K", "5"],
-], ids=["exact", "decimal", "truncpoly"])
+    # above order 16, revert runs Newton steps on compose and PowerSeries products
+    ["virial", "--sf", "q-mu:3/2,1/7", "--K", "20", "--backend", "decimal:20"],
+], ids=["exact", "decimal", "truncpoly", "decimal-newton"])
 def test_declared_layer_metrics_present(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
     done = subprocess.run(

@@ -484,8 +484,12 @@ def test_surd_dot_matches_operator_sum(pair):
 
 
 def test_surd_dot_rejects_unequal_lengths():
-    with pytest.raises(ValueError):
-        SURD.dot([SURD.one, SURD.one], [SURD.one])
+    # every backend, not only the surd one: a dropped tail would be a silent wrong sum
+    for backend in (SURD, TruncPolyBackend(3), DecimalBackend(20)):
+        one = backend.one
+        for xs, ys in (([one, one], [one]), ([one], [one, one]), ([one], [])):
+            with pytest.raises(ValueError), backend.arith():
+                backend.dot(xs, ys)
 
 
 @given(_pairs_st(truncpolys_st()))

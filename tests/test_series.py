@@ -1,6 +1,7 @@
 """Power series engine: products, composition, reversion, Jackson and Euler
 operators, with classical reversion formulas as the independent oracle."""
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -178,6 +179,43 @@ def test_compose_matches_horner(outer_coeffs, inner_tail):
     assert result.order == min(outer.order, inner.order)
 
 
+def _rand_surds(rng, count):
+    # multi-radicand sums over radicands 1, 2, 3, 6; about a third of them zero
+    def draw():
+        radicands = rng.sample([1, 2, 3, 6], 2)
+        return {r: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for r in radicands}
+    return [SurdRational(draw()) if rng.random() > 0.3 else SURD.zero for _ in range(count)]
+
+
+# compose cuts outer into blocks of m = isqrt(K) + 1: K < m (0, 1), K a multiple
+# of m (6, 12, 20), K = m**2 - 1 (3, 8, 15, 24), K a square where m steps up
+# (4, 9, 16, 25) and a partial last block (10, 13, 22)
+@pytest.mark.parametrize("k", [0, 1, 3, 4, 6, 8, 9, 10, 12, 13, 15, 16, 20, 22, 24, 25])
+def test_compose_matches_horner_at_block_boundaries(k):
+    rng = random.Random(k)
+    # odd K: outer is longer than the inner; even K: the inner is longer
+    outer = PowerSeries("z", SURD, _rand_surds(rng, k + 1 + k % 2))
+    inner = PowerSeries("z", SURD, [SURD.zero] + _rand_surds(rng, k + 1 - k % 2))
+    result = compose(outer, inner)
+    assert result == horner_compose(outer, inner)
+    assert result.order == k
+
+
+def test_compose_makes_few_series_products(monkeypatch):
+    # at K=80, m = 9: baby powers u**2..u**9 and one giant step for each of the
+    # 8 blocks under the top one; a power sum makes K - 1 = 79 products
+    calls = []
+    product = PowerSeries.__mul__
+    monkeypatch.setattr(PowerSeries, "__mul__", lambda a, b: calls.append(1) or product(a, b))
+    rng = random.Random(80)
+    backend = DecimalBackend(20)
+    tail = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(160)]
+    outer = PowerSeries("z", backend, [0] + tail[:80])
+    inner = PowerSeries("z", backend, [0] + tail[80:])
+    compose(outer, inner)
+    assert len(calls) <= 2 * math.isqrt(80) + 2
+
+
 def test_compose_matches_horner_on_truncpoly():
     backend = TruncPolyBackend(3)
     eps = TruncPoly(3, {1: 1})
@@ -237,6 +275,38 @@ nonzero_rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 def test_revert_matches_loop_revert(c1, tail):
     f = PowerSeries("z", SURD, [0, c1] + tail)
     assert revert(f) == loop_revert(f)
+
+
+# above order 16 revert takes Newton steps on compose: 17 -> 9, 18 -> 9,
+# 33 -> 17 -> 9 and 40 -> 20 -> 10, with c_2 = 0 and a non-unit c_1
+@pytest.mark.parametrize("k", [17, 18, 23, 33, 40])
+def test_revert_newton_branch_matches_loop_revert(k):
+    rng = random.Random(100 + k)
+    c1 = Fraction(-3, 2) if k % 2 else Fraction(2, 5)
+    f = PowerSeries("z", SURD, [0, c1, 0] + _rand_surds(rng, k - 2))
+    g = revert(f)
+    assert g.order == k
+    assert g == loop_revert(f)
+
+
+def test_revert_newton_branch_on_truncpoly_and_decimal():
+    backend = TruncPolyBackend(2)
+    eps = TruncPoly(2, {1: 1})
+    rng = random.Random(7)
+    tail = [backend.from_surd(c) + eps * rng.randint(-2, 2) for c in _rand_surds(rng, 18)]
+    f = PowerSeries("z", backend, [backend.zero, backend.from_fraction(Fraction(3, 4))] + tail)
+    assert revert(f) == loop_revert(f)
+
+    # decimal:50 against the exact inverse of the same rational series
+    coeffs = [0, Fraction(5, 3), 0]
+    coeffs += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(19)]
+    decimal = DecimalBackend(50)
+    approx = revert(PowerSeries("z", decimal, coeffs))
+    exact = loop_revert(PowerSeries("z", SURD, coeffs))
+    assert approx.order == exact.order == 21
+    for a, e in zip(approx.coeffs, exact.coeffs):
+        e = e.decimal_value(120)
+        assert abs(a - e) <= Decimal(10) ** -50 * max(1, abs(e))
 
 
 def test_loops_match_references_on_truncpoly_and_decimal():

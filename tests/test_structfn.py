@@ -73,6 +73,26 @@ def test_eval_combined_example():
     assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, SURD) == 0
 
 
+def test_basic_number_is_the_geometric_sum():
+    for q in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(3, 2), Fraction(7, 5)):
+        for n in range(13):
+            assert basic_number(q, n) == sum((q**i for i in range(n)), Fraction(0)), (q, n)
+
+
+def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
+    # ln q is computed once per table; a new q or digit budget must not reuse it
+    cases = [(Fraction(3, 2), 20), (Fraction(3, 2), 60), (Fraction(2, 5), 60), (Fraction(3, 2), 20)]
+    for q, digits in cases:
+        backend, mu = DecimalBackend(digits), Fraction(1, 7)
+        for n in (2, 3, 5):
+            with backend.arith():
+                q_dec = Decimal(q.numerator) / Decimal(q.denominator)
+                e = (1 + mu) * n - mu * n * n
+                power = (Decimal(e.numerator) / Decimal(e.denominator) * q_dec.ln()).exp()
+                expected = (1 - power) / (1 - q_dec)
+            assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected, (q, digits, n)
+
+
 def test_eval_on_surd_backend_wraps_rational():
     value = eval_structure(QBasic(Fraction(3, 2)), 2, SURD)
     assert value == SurdRational.from_fraction(Fraction(5, 2))

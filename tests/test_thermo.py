@@ -28,6 +28,7 @@ from qvirial import (
     fugacity_of_density,
     half_power,
     log_partition_series,
+    parse_descriptor,
     particle_series,
     pressure_series,
     second_virial_deviation,
@@ -35,7 +36,9 @@ from qvirial import (
     virial_coefficients,
 )
 
-from helpers import rand_fraction, rand_positive_q, sig_agree
+from qvirial import thermo
+
+from helpers import horner_compose, loop_revert, rand_fraction, rand_positive_q, sig_agree
 
 DEC50 = DecimalBackend(50)
 
@@ -244,6 +247,19 @@ def test_decimal_backend_meets_its_digit_budget(exact_budget_table, digits):
     approx = virial_coefficients(GasModel(sf, order=30, backend=DecimalBackend(digits)))
     for k, (a, e) in enumerate(zip(approx.values, exact), start=1):
         assert abs(a - e) < Decimal(10) ** -digits, k
+
+
+@pytest.mark.parametrize("descriptor, order", [("q-mu:3/2,1/7", 80), ("t:1/2;mu:1/7;q:3/2", 70)])
+def test_decimal_backend_meets_its_digit_budget_at_bench_scale(descriptor, order, monkeypatch):
+    # the reference runs revert's per-term power table and Horner's rule 150
+    # digits higher; the bound is relative, since |V_k| reaches 1e15 here
+    sf, digits = parse_descriptor(descriptor), 200
+    approx = virial_coefficients(GasModel(sf, order=order, backend=DecimalBackend(digits)))
+    monkeypatch.setattr(thermo, "revert", loop_revert)
+    monkeypatch.setattr(thermo, "compose", horner_compose)
+    exact = virial_coefficients(GasModel(sf, order=order, backend=DecimalBackend(digits + 150)))
+    for k, (a, e) in enumerate(zip(approx.values, exact.values), start=1):
+        assert abs(a - e) <= Decimal(10) ** -digits * max(1, abs(e)), k
 
 
 # -- second-virial deviation -----------------------------------------------------
