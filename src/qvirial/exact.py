@@ -14,6 +14,8 @@ Every series in this package is generic over one scalar backend:
   decimal    decimal.Decimal at a stated significant-digit budget (plus
              internal guard digits), for values that leave the surd ring.
 
+A backend turns a rational into a scalar in one place, `from_ratio(num, den)`
+(den > 0, not necessarily reduced); `from_fraction` delegates to it.
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
 equally long; the surd `dot` sums integer numerators over one running common
@@ -441,8 +443,11 @@ class SurdBackend:
     def one(self) -> SurdRational:
         return SurdRational.from_fraction(1)
 
+    def from_ratio(self, num: int, den: int) -> SurdRational:
+        return _surd({1: num}, den)
+
     def from_fraction(self, value) -> SurdRational:
-        return SurdRational.from_fraction(Fraction(value))
+        return self.from_ratio(*Fraction(value).as_integer_ratio())
 
     def half_power(self, n: int, k: int) -> SurdRational:
         return half_power(n, k)
@@ -496,8 +501,11 @@ class TruncPolyBackend:
     def one(self) -> TruncPoly:
         return TruncPoly(self.order, {0: 1})
 
+    def from_ratio(self, num: int, den: int) -> TruncPoly:
+        return self.from_surd(SURD.from_ratio(num, den))
+
     def from_fraction(self, value) -> TruncPoly:
-        return TruncPoly(self.order, {0: Fraction(value)})
+        return self.from_ratio(*Fraction(value).as_integer_ratio())
 
     def from_surd(self, value: SurdRational) -> TruncPoly:
         return TruncPoly(self.order, {0: value})
@@ -550,10 +558,12 @@ class DecimalBackend:
     def one(self) -> Decimal:
         return Decimal(1)
 
-    def from_fraction(self, value) -> Decimal:
-        value = Fraction(value)
+    def from_ratio(self, num: int, den: int) -> Decimal:
         with self.arith():
-            return Decimal(value.numerator) / Decimal(value.denominator)
+            return Decimal(num) / Decimal(den)
+
+    def from_fraction(self, value) -> Decimal:
+        return self.from_ratio(*Fraction(value).as_integer_ratio())
 
     def half_power(self, n: int, k: int) -> Decimal:
         with self.arith():

@@ -8,9 +8,15 @@ polynomial in the number operator N:
   term i = (2N + 1 - i)/(2*(i+1)!) * N(N-1)...(N-i+1)      for i >= 1
 
 so that sum_i eps**i * term_i(N) = ([N+1]_q + [N]_q)/2 as a polynomial
-identity in eps.  The two-parameter deformation adds a row linear in mu
-(the quadratic deformation enters the ladder average linearly), computed by
-exact expansion of (phi(N+1) + phi(N))/2 for phi = (1+mu)*[.]_q - mu*[.]_q**2.
+identity in eps.  With signed Stirling numbers of the first kind (Comtet,
+Advanced Combinatorics, 1974, sec. 5.5) the N**k coefficient of term i is
+((1-i)*s(i,k) + 2*s(i,k-1)) / (2*(i+1)!).  The two-parameter deformation adds
+a row linear in mu (the quadratic deformation enters the ladder average
+linearly), the exact expansion of (phi(N+1) + phi(N))/2 for
+phi = (1+mu)*[.]_q - mu*[.]_q**2 with [N]_q = sum_i eps**i * C(N, i+1): the
+shift is Pascal's rule C(N+1, i+1) = C(N, i+1) + C(N, i), and the square is
+one integer convolution of Stirling rows.  Coefficients stay integer
+numerators over one denominator until each becomes a Fraction, once.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .structfn import _stirling_rows
+
 __all__ = [
     "NumberPoly",
     "HamiltonianSplit",
     "TwoParamSplit",
     "hamiltonian_split",
     "two_param_split",
-    "binomial_poly",
 ]
 
 
@@ -40,6 +47,16 @@ class NumberPoly:
         while cleaned and not cleaned[-1]:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
+
+    @classmethod
+    def _from_numerators(cls, nums: Sequence[int], den: int) -> "NumberPoly":
+        """sum_k nums[k]*N**k / den for integers, each coefficient reduced once."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        out = object.__new__(cls)
+        out.coeffs = tuple(Fraction(c, den) for c in nums)
+        return out
 
     @classmethod
     def constant(cls, value) -> "NumberPoly":
@@ -106,9 +123,16 @@ class NumberPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant polynomial equals its coefficient, so it must hash like it
+        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def __call__(self, n) -> Fraction:
+        if isinstance(n, int):  # integer Horner over the common denominator
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            total = 0
+            for c in reversed(self.coeffs):
+                total = total * n + c.numerator * (den // c.denominator)
+            return Fraction(total, den)
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * n + c
@@ -148,14 +172,6 @@ class NumberPoly:
         return f"NumberPoly({self.render()!r})"
 
 
-def binomial_poly(k: int) -> NumberPoly:
-    """C(N, k) as a polynomial in N: N(N-1)...(N-k+1)/k!."""
-    poly = NumberPoly([1])
-    for j in range(k):
-        poly = poly * NumberPoly([-j, 1])
-    return poly / math.factorial(k)
-
-
 @dataclass(frozen=True)
 class HamiltonianSplit:
     """Ladder-average Hamiltonian as exact polynomials per power of eps."""
@@ -185,12 +201,10 @@ def hamiltonian_split(order: int) -> HamiltonianSplit:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    terms = [NumberPoly([Fraction(1, 2), 1])]
-    falling = NumberPoly([1])
-    for i in range(1, order + 1):
-        falling = falling * NumberPoly([-(i - 1), 1])  # now N(N-1)...(N-i+1)
-        prefactor = NumberPoly([1 - i, 2]) / (2 * math.factorial(i + 1))
-        terms.append(prefactor * falling)
+    terms = []
+    for i, row in enumerate(_stirling_rows(order)):  # row[k] = s(i, k)
+        nums = [(1 - i) * a + 2 * b for a, b in zip(row + [0], [0] + row)]
+        terms.append(NumberPoly._from_numerators(nums, 2 * math.factorial(i + 1)))
     return HamiltonianSplit(order=order, terms=tuple(terms))
 
 
@@ -227,29 +241,22 @@ def two_param_split(order_eps: int, order_mu: int) -> TwoParamSplit:
     """
     if order_eps < 0 or order_mu < 0:
         raise ValueError("orders must be nonnegative")
-    # [N]_q = sum_i eps**i * C(N, i+1), as polynomials in N per eps power
-    basic = [binomial_poly(i + 1) for i in range(order_eps + 1)]
-    shifted = [poly.shifted() for poly in basic]
-
-    def square(rows: list[NumberPoly]) -> list[NumberPoly]:
-        out = [NumberPoly() for _ in range(order_eps + 1)]
-        for a in range(order_eps + 1):
-            if rows[a].is_zero():
-                continue
-            for b in range(order_eps + 1 - a):
-                out[a + b] = out[a + b] + rows[a] * rows[b]
-        return out
-
-    terms: dict[tuple[int, int], NumberPoly] = {}
-    for i in range(order_eps + 1):
-        avg = (basic[i] + shifted[i]) / 2
-        if not avg.is_zero():
-            terms[(i, 0)] = avg
+    terms = {(i, 0): poly for i, poly in enumerate(hamiltonian_split(order_eps).terms)}
     if order_mu >= 1:
-        sq_basic = square(basic)
-        sq_shifted = square(shifted)
+        # numerators over (i+1)! of C(N, i+1) and of C(N+1, i+1) = C(N, i+1) + C(N, i)
+        rows = _stirling_rows(order_eps + 1)
+        basic = rows[1:]
+        shifted = [[b + (i + 1) * a for a, b in zip(rows[i] + [0], basic[i])] for i in range(order_eps + 1)]
         for i in range(order_eps + 1):
-            row = (basic[i] - sq_basic[i] + shifted[i] - sq_shifted[i]) / 2
-            if not row.is_zero():
-                terms[(i, 1)] = row
+            # basic + shifted - their squares over (i+2)!, where the eps**i
+            # coefficient of the square, sum_{a+b=i} C(N,a+1)*C(N,b+1), weighs
+            # each product of rows by C(i+2, a+1); every row is nonzero
+            row = [(i + 2) * (x + y) for x, y in zip(basic[i], shifted[i])] + [0]
+            for a in range(i + 1):
+                weight = math.comb(i + 2, a + 1)
+                for left, right in ((basic[a], basic[i - a]), (shifted[a], shifted[i - a])):
+                    for j, x in enumerate(left):
+                        for k, y in enumerate(right):
+                            row[j + k] -= weight * x * y
+            terms[(i, 1)] = NumberPoly._from_numerators(row, 2 * math.factorial(i + 2))
     return TwoParamSplit(order_eps=order_eps, order_mu=order_mu, terms=terms)

@@ -5,8 +5,7 @@ its number operator; every variant here satisfies phi(0) = 0 and phi(1) = 1.
 The catalogue:
 
   QBasic(q)                   phi(n) = 1 + q + ... + q**(n-1)   (the basic
-                              number [n]_q, evaluated as a geometric sum so
-                              q = 1 never divides by zero)
+                              number [n]_q)
   Quadratic(mu)               phi(n) = (1+mu)*n - mu*n**2       (composite,
                               two-constituent bosons; mu = 1/m cuts the
                               spectrum off at n = m+1)
@@ -19,9 +18,11 @@ The catalogue:
   QBasicSeries(order)         [n]_q with q = 1 + eps kept as a truncated
                               polynomial in eps
 
-`eval_structure` evaluates any variant on a backend; `eval_eps` and
-`monomial_expansion` expose the eps-expansion of the basic number in the
-binomial and monomial bases.
+`eval_structure` evaluates any variant on a backend; the rational ones form
+phi(n) as one unreduced integer ratio, with [n]_q = (b**n - a**n) /
+(b**(n-1) * (b-a)) for q = a/b, which the backend converts once.  `eval_eps`
+and `monomial_expansion` expose the eps-expansion of the basic number in the
+binomial and monomial bases (the latter by signed Stirling numbers).
 """
 
 from __future__ import annotations
@@ -177,15 +178,17 @@ StructureFunction = (
 UNDEFORMED = Quadratic(Fraction(0))
 
 
-def _rational_value(sf: StructureFunction, n: int) -> Fraction:
+def _phi_ratio(sf: QBasic | Quadratic | QuadraticOfQBasic, n: int) -> tuple[int, int]:
+    """phi(n) as an unreduced integer ratio u/v with v > 0."""
+    u, v = n, 1  # [n]_q at q = 1, and the quadratic variant's argument
+    if not isinstance(sf, Quadratic) and sf.q != 1 and n:
+        a, b = sf.q.as_integer_ratio()  # [n]_q = (b**n - a**n) / (b**(n-1) * (b-a))
+        u, v = b**n - a**n, b ** (n - 1) * (b - a)
+        u, v = (u, v) if v > 0 else (-u, -v)
     if isinstance(sf, QBasic):
-        return basic_number(sf.q, n)
-    if isinstance(sf, Quadratic):
-        return quadratic_number(sf.mu, n)
-    if isinstance(sf, QuadraticOfQBasic):
-        base = basic_number(sf.q, n)
-        return (1 + sf.mu) * base - sf.mu * base * base
-    raise TypeError(f"{type(sf).__name__} has no rational closed value")
+        return u, v
+    m, d = sf.mu.as_integer_ratio()  # (1+mu)*u/v - mu*(u/v)**2 with mu = m/d
+    return u * ((d + m) * v - m * u), d * v * v
 
 
 def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
@@ -199,7 +202,7 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic)):
-        return backend.from_fraction(_rational_value(sf, n))
+        return backend.from_ratio(*_phi_ratio(sf, n))
     if isinstance(sf, QBasicSeries):
         if not isinstance(backend, TruncPolyBackend):
             raise UnsupportedBackendError(
@@ -216,7 +219,7 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
         with backend.arith():
             if isinstance(sf, QBasicOfQuadratic):
                 return _qbasic_of_quadratic_decimal(sf, n, backend)
-            part_a = backend.from_fraction(_rational_value(QuadraticOfQBasic(sf.mu, sf.q), n))
+            part_a = backend.from_ratio(*_phi_ratio(QuadraticOfQBasic(sf.mu, sf.q), n))
             part_b = _qbasic_of_quadratic_decimal(QBasicOfQuadratic(sf.q, sf.mu), n, backend)
             t = backend.from_fraction(sf.t)
             return t * part_a + (1 - t) * part_b
@@ -261,17 +264,16 @@ def stirling_first(m: int, k: int) -> int:
     """Signed Stirling numbers of the first kind: x(x-1)...(x-m+1) = sum_k s(m,k) x**k."""
     if m < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    return _stirling_row(m)[k] if k <= m else 0
+    return _stirling_rows(m)[m][k] if k <= m else 0
 
 
-def _stirling_row(m: int) -> list[int]:
-    row = [1]
+def _stirling_rows(m: int) -> list[list[int]]:
+    """Rows s(0, .) .. s(m, .), each from the one before: s(n+1, k) = s(n, k-1) - n*s(n, k)."""
+    rows = [[1]]
     for n in range(m):
-        nxt = [0] * (n + 2)
-        for k in range(n + 2):
-            nxt[k] = (row[k - 1] if k >= 1 else 0) - n * (row[k] if k <= n else 0)
-        row = nxt
-    return row
+        row = rows[-1]
+        rows.append([b - n * a for a, b in zip(row + [0], [0] + row)])
+    return rows
 
 
 def monomial_expansion(order_eps: int, order_n: int) -> dict[tuple[int, int], Fraction]:
@@ -284,8 +286,9 @@ def monomial_expansion(order_eps: int, order_n: int) -> dict[tuple[int, int], Fr
     if order_eps < 1 or order_n < 1:
         raise ValueError("orders must be >= 1")
     table: dict[tuple[int, int], Fraction] = {}
+    rows = _stirling_rows(order_eps + 1)
     for i in range(order_eps + 1):
-        row = _stirling_row(i + 1)
+        row = rows[i + 1]
         denom = math.factorial(i + 1)
         for k in range(1, min(i + 1, order_n) + 1):
             value = Fraction(row[k], denom)

@@ -1,14 +1,23 @@
 """Shared test utilities: independent decimal oracles, comparison helpers, the
 identity series, operator-per-term references for series products, reversion
-and composition (Horner), and a Fraction-per-term reference for the surd
-ring."""
+and composition (Horner), a Fraction-per-term reference for the surd ring, and
+Fraction references for the ladder splits, the rational structure functions and
+polynomial evaluation."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 import math
 import random
 
-from qvirial import PowerSeries, SURD, radical_normalize
+from qvirial import (
+    NumberPoly,
+    PowerSeries,
+    QBasic,
+    Quadratic,
+    QuadraticOfQBasic,
+    SURD,
+    radical_normalize,
+)
 
 
 def surd_oracle_decimal(terms: dict[int, Fraction], prec: int = 60) -> Decimal:
@@ -174,3 +183,72 @@ class FractionSurd:
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
+
+
+def binomial_poly(k: int) -> NumberPoly:
+    """C(N, k) as a polynomial in N: N(N-1)...(N-k+1)/k!, by NumberPoly products."""
+    poly = NumberPoly([1])
+    for j in range(k):
+        poly = poly * NumberPoly([-j, 1])
+    return poly / math.factorial(k)
+
+
+def fraction_hamiltonian_terms(order: int) -> tuple[NumberPoly, ...]:
+    """hamiltonian_split's terms by NumberPoly products: (2N+1-i)/(2*(i+1)!)
+    times the falling factorial, one Fraction per coefficient operation."""
+    terms = [NumberPoly([Fraction(1, 2), 1])]
+    falling = NumberPoly([1])
+    for i in range(1, order + 1):
+        falling = falling * NumberPoly([-(i - 1), 1])  # now N(N-1)...(N-i+1)
+        prefactor = NumberPoly([1 - i, 2]) / (2 * math.factorial(i + 1))
+        terms.append(prefactor * falling)
+    return tuple(terms)
+
+
+def fraction_two_param_terms(order_eps: int, order_mu: int) -> dict[tuple[int, int], NumberPoly]:
+    """two_param_split's terms by NumberPoly products, shifts and squares."""
+    basic = [binomial_poly(i + 1) for i in range(order_eps + 1)]
+    shifted = [poly.shifted() for poly in basic]
+
+    def square(rows: list[NumberPoly]) -> list[NumberPoly]:
+        out = [NumberPoly() for _ in range(order_eps + 1)]
+        for a in range(order_eps + 1):
+            if rows[a].is_zero():
+                continue
+            for b in range(order_eps + 1 - a):
+                out[a + b] = out[a + b] + rows[a] * rows[b]
+        return out
+
+    terms: dict[tuple[int, int], NumberPoly] = {}
+    for i in range(order_eps + 1):
+        avg = (basic[i] + shifted[i]) / 2
+        if not avg.is_zero():
+            terms[(i, 0)] = avg
+    if order_mu >= 1:
+        sq_basic = square(basic)
+        sq_shifted = square(shifted)
+        for i in range(order_eps + 1):
+            row = (basic[i] - sq_basic[i] + shifted[i] - sq_shifted[i]) / 2
+            if not row.is_zero():
+                terms[(i, 1)] = row
+    return terms
+
+
+def fraction_phi(sf, n: int) -> Fraction:
+    """phi(n) of QBasic, Quadratic or QuadraticOfQBasic in Fractions, with
+    [n]_q summed term by term as 1 + q + ... + q**(n-1)."""
+    if isinstance(sf, Quadratic):
+        return (1 + sf.mu) * n - sf.mu * n * n
+    base = sum((sf.q**k for k in range(n)), Fraction(0))
+    if isinstance(sf, QBasic):
+        return base
+    assert isinstance(sf, QuadraticOfQBasic)
+    return (1 + sf.mu) * base - sf.mu * base * base
+
+
+def fraction_horner(poly: NumberPoly, n) -> Fraction:
+    """poly(n) by Horner's rule in Fractions."""
+    total = Fraction(0)
+    for c in reversed(poly.coeffs):
+        total = total * Fraction(n) + c
+    return total

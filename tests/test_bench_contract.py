@@ -33,8 +33,17 @@ with contextlib.redirect_stdout(out):
     code = cli.main(argv)
 metrics = recorder.write(spans_path, [{"argv": argv, "stdout": out.getvalue()}])["metrics"]
 declared = set(tracing.metric_units()) - {"trace.overhead_ratio"}
-print(json.dumps({"code": code, "missing": sorted(declared - set(metrics))}))
+print(json.dumps({"code": code, "missing": sorted(declared - set(metrics)), "metrics": metrics}))
 """
+
+
+def traced(argv, tmp_path) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(argv), str(tmp_path / "spans.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -45,11 +54,14 @@ print(json.dumps({"code": code, "missing": sorted(declared - set(metrics))}))
     ["virial", "--sf", "q-mu:3/2,1/7", "--K", "20", "--backend", "decimal:20"],
 ], ids=["exact", "decimal", "truncpoly", "decimal-newton"])
 def test_declared_layer_metrics_present(argv, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argv), str(tmp_path / "spans.json")],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    result = json.loads(done.stdout)
+    result = traced(argv, tmp_path)
     assert result["code"] == 0
     assert result["missing"] == [], f"declared per-layer metrics absent on {argv}"
+
+
+def test_perturb_split_is_traced(tmp_path):
+    # perfbench wraps the splits at the names cli looks them up by; a renamed
+    # import would leave the count at 0 rather than absent
+    result = traced(["hamiltonian", "--order", "4", "--order-mu", "1"], tmp_path)
+    assert result["code"] == 0
+    assert result["metrics"]["perturb.split_calls"] == 1

@@ -16,7 +16,13 @@ from qvirial import (
     two_param_split,
 )
 
-from helpers import rand_fraction, rand_positive_q
+from helpers import (
+    fraction_hamiltonian_terms,
+    fraction_horner,
+    fraction_two_param_terms,
+    rand_fraction,
+    rand_positive_q,
+)
 
 
 def ladder_average_eps_coeff(n: int, i: int) -> Fraction:
@@ -120,3 +126,53 @@ def test_two_param_matches_direct_ladder_average():
         ) / 2
         split = two_param_split(2 * (n + 1), 1)  # enough eps orders for exactness at N = n
         assert split.evaluate(n, q - 1, mu) == direct, (mu, q, n)
+
+
+# -- integer Stirling-row splits against the NumberPoly-product references --------
+
+
+def test_hamiltonian_split_matches_fraction_reference():
+    for order in range(41):
+        assert hamiltonian_split(order).terms == fraction_hamiltonian_terms(order), order
+
+
+def test_two_param_split_matches_fraction_reference():
+    for order_eps in range(15):
+        for order_mu in range(4):
+            split = two_param_split(order_eps, order_mu)
+            assert split.terms == fraction_two_param_terms(order_eps, order_mu), (order_eps, order_mu)
+
+
+def test_splits_make_no_generic_poly_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        method = getattr(NumberPoly, name)
+
+        def counted(self, other, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, other)
+
+        monkeypatch.setattr(NumberPoly, name, counted)
+    hamiltonian_split(12)
+    two_param_split(12, 1)
+    assert calls == []
+
+
+def test_number_poly_hashes_like_the_number_it_equals():
+    for value in (0, 3, -2, Fraction(5, 7)):
+        poly = NumberPoly.constant(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+    assert NumberPoly() == 0 and len({NumberPoly(), 0}) == 1
+    assert hash(NumberPoly([1, 2])) == hash(NumberPoly([Fraction(1), Fraction(2)]))
+
+
+def test_number_poly_call_matches_fraction_horner():
+    rng = random.Random(5)
+    polys = [NumberPoly(), NumberPoly.constant(Fraction(-3, 4)), *hamiltonian_split(9).terms]
+    polys += [NumberPoly([rand_fraction(rng) for _ in range(rng.randint(1, 8))]) for _ in range(20)]
+    args = [0, 1, -1, -7, 12, 10**6, -(10**6), Fraction(-5, 3), Fraction(7, 2), Fraction(0)]
+    for poly in polys:
+        for n in args:
+            value = poly(n)
+            assert type(value) is Fraction and value == fraction_horner(poly, n), (poly, n)

@@ -1,6 +1,7 @@
 """Structure functions: exact evaluation, eps expansions, monomial table,
 limit degeneracies, and the descriptor grammar."""
 
+import math
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -32,7 +33,7 @@ from qvirial import (
 )
 from qvirial.structfn import is_unit_fraction_mu
 
-from helpers import rand_positive_q, sig_agree
+from helpers import fraction_phi, rand_positive_q, sig_agree
 
 DEC50 = DecimalBackend(50)
 
@@ -235,7 +236,47 @@ def test_eval_eps_via_eval_structure_backend():
         eval_structure(QBasicSeries(6), 3, SURD)
 
 
+def test_rational_phi_matches_fraction_reference():
+    # one unreduced integer ratio per phi(n), against Fraction arithmetic and
+    # conversions that do not go through from_ratio
+    qs = [Fraction(0), Fraction(-3, 2), Fraction(-1), Fraction(2, 5), Fraction(7, 3), Fraction(5)]
+    mus = [Fraction(-3, 4), Fraction(0), Fraction(1, 3), Fraction(5, 2)]
+    models = [QBasic(q) for q in qs] + [Quadratic(mu) for mu in mus]
+    models += [QuadraticOfQBasic(mu, q) for mu in mus for q in qs + [Fraction(1)]]
+    poly_backend, dec = TruncPolyBackend(3), DecimalBackend(30)
+    for sf in models:
+        for n in range(31):
+            value = fraction_phi(sf, n)
+            assert eval_structure(sf, n, SURD) == SurdRational({1: value}), (sf, n)
+            assert eval_structure(sf, n, poly_backend) == TruncPoly(3, {0: SurdRational({1: value})})
+            with localcontext(dec.context):
+                expected = Decimal(value.numerator) / Decimal(value.denominator)
+            assert eval_structure(sf, n, dec).as_tuple() == expected.as_tuple(), (sf, n)
+
+
+def test_from_ratio_takes_unreduced_ratios():
+    for backend in (SURD, TruncPolyBackend(2), DecimalBackend(20)):
+        for num, den in ((6, 4), (-10, 15), (0, 7), (7, 1)):
+            a, b = backend.from_ratio(num, den), backend.from_fraction(Fraction(num, den))
+            assert a == b and str(a) == str(b), (backend, num, den)
+
+
 # -- monomial expansion --------------------------------------------------------
+
+
+def test_stirling_rows_match_the_falling_factorial():
+    # coefficients of x(x-1)...(x-m+1), expanded one linear factor at a time
+    coeffs = [1]
+    for m in range(31):
+        assert [stirling_first(m, k) for k in range(m + 2)] == coeffs + [0], m
+        coeffs = [0] + coeffs  # times x
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= m * coeffs[k + 1]
+    table = monomial_expansion(30, 31)
+    for i in range(31):
+        for k in range(1, i + 2):
+            value = Fraction(stirling_first(i + 1, k), math.factorial(i + 1))
+            assert table.get((k, i), Fraction(0)) == value
 
 
 def test_stirling_first_small_table():
