@@ -9,6 +9,7 @@ propagates.  Output is byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -225,7 +226,7 @@ def cmd_eps_expand(args) -> tuple[str, int]:
         rows = []
         for i in range(args.expansion_order + 1):
             coeff = poly.coefficient(i)
-            rows.append([str(i), str(coeff.rational_part())])
+            rows.append([str(i), coeff.render()])
         return _format_table(args.format, meta, columns, rows), 0
     table = monomial_expansion(args.expansion_order, args.expansion_order + 1)
     columns = ["N_power", "eps_power", "coefficient"]
@@ -592,6 +593,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = args.handler(args)
     except (UnsupportedBackendError, UnboundVariableError) as exc:
         print(f"qvirial: backend error: {exc}", file=sys.stderr)
+        return 3
+    except decimal.Overflow:
+        print("qvirial: backend error: a value leaves the decimal exponent range", file=sys.stderr)
         return 3
     except (QVirialError, UsageError) as exc:
         print(f"qvirial: error: {exc}", file=sys.stderr)

@@ -254,7 +254,7 @@ class SurdRational:
             return "0"
         parts = []
         for i, (r, c) in enumerate(self.terms.items()):
-            body = str(abs(c)) if r == 1 else f"{abs(c)}*sqrt({r})"
+            body = _text(abs(c)) if r == 1 else f"{_text(abs(c))}*sqrt({r})"
             if i == 0:
                 parts.append(("-" if c < 0 else "") + body)
             else:
@@ -592,12 +592,21 @@ Backend = Union[SurdBackend, TruncPolyBackend, DecimalBackend]
 # --------------------------------------------------------------------------
 
 
+def _text(x: int | Fraction) -> str:
+    """str(x), also past the interpreter's int-to-str digit limit: Decimal(int) is exact."""
+    try:
+        return str(x)
+    except ValueError:
+        num, den = x.as_integer_ratio()
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
 def _round_fixed(num: int, den: int, digits: int) -> str:
     """num/den (den > 0) rounded half-even to `digits` >= 1 places, never '-0.0...'."""
     q, r = divmod(num * 10**digits, den)
     if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    text = str(abs(q)).rjust(digits + 1, "0")
+    text = _text(abs(q)).rjust(digits + 1, "0")
     return f"{'-' if q < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 

@@ -18,7 +18,7 @@ The two operators that drive the gas pipeline:
 
 `compose` cuts outer into blocks of m = isqrt(K) + 1 coefficients and adds
 the blocks by Horner's rule in inner**m (Paterson & Stockmeyer, SIAM J.
-Comput. 2, 1973; Brent & Kung, J. ACM 25, 1978, section 2): about m*K**2/2
+Comput. 2, 1973; Brent & Kung, J. ACM 25, 1978, section 2): at most m*K**2/2
 ring products build the baby powers and K**3/(6m) the giant steps, against
 K**3/6 for the power sum sum_j o_j * inner**j.  Up to order 16, `revert` is a
 triangular solve (Lagrange inversion, about K**3/6 products); above it, one
@@ -28,6 +28,10 @@ half for one `compose` and one half-length product, exactly on exact backends.
 Cost model: each inner loop (a product's output coefficient, an entry or the
 residual of revert's power table) is one backend `dot`: the ring products of
 one operator per term, but on surds one normalization per sum, not per term.
+A product's dots span only the factors' first to last nonzero coefficients
+(Newton's inner is zero-padded), and an even baby power u**(2r) squares u**r
+by one dot over each coefficient's lower half.  The K=80 `q-mu:3/2,1/7` table
+on decimal:50 makes dots of 61,645 terms in all (78,409 without either).
 """
 
 from __future__ import annotations
@@ -105,15 +109,36 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         k = self._align(other)
         a, b = self.coeffs, other.coeffs
-        # first nonzero index of each factor (k + 1 if none): terms below add nothing
-        lo_a, lo_b = (next((i for i in range(k + 1) if c[i]), k + 1) for c in (a, b))
+        (lo_a, hi_a), (lo_b, hi_b) = _span(a[:k + 1]), _span(b[:k + 1])
         rb, backend = b[k::-1], self.backend  # rb[k - j] = b[j]
         with backend.arith():
-            # [x^n] = sum_{i=lo_a}^{n-lo_b} a[i]*b[n-i] by ascending i (zero for n < lo_a + lo_b)
+            # [x^n] = sum_i a[i]*b[n-i] by ascending i; terms outside a span add nothing
             out = [backend.zero] * min(lo_a + lo_b, k + 1)
-            for n in range(lo_a + lo_b, k + 1):
-                out.append(backend.dot(a[lo_a:n - lo_b + 1], rb[k - n + lo_a:k - lo_b + 1]))
-            return PowerSeries(self.var, backend, out)
+            for n in range(lo_a + lo_b, min(k, hi_a + hi_b) + 1):
+                low, top = max(lo_a, n - hi_b), min(hi_a, n - lo_b) + 1
+                out.append(backend.dot(a[low:top], rb[k - n + low:k - n + top]))
+            return PowerSeries(self.var, backend, out + [backend.zero] * (k + 1 - len(out)))
+
+
+def _span(c: Sequence[Scalar]) -> tuple[int, int]:
+    """First and last index of a nonzero coefficient, or (len(c), -1) if none."""
+    nonzero = [i for i, x in enumerate(c) if x]
+    return (nonzero[0], nonzero[-1]) if nonzero else (len(c), -1)
+
+
+def _square(p: Sequence[Scalar], backend: Backend) -> tuple[Scalar, ...]:
+    """p**2 to the order of p, inside arith(): [x^n] is one dot over the lower
+    half, 2*p[i]*p[n-i] for i < n/2, plus p[n/2]**2 for even n."""
+    (lo, hi), k = _span(p), len(p) - 1
+    twice, rp = [c + c for c in p], p[::-1]  # rp[k - j] = p[j]
+    out = [backend.zero] * min(2 * lo, k + 1)
+    for n in range(2 * lo, min(k, 2 * hi) + 1):
+        low, half = max(lo, n - hi), (n + 1) // 2
+        xs, ys = twice[low:half], rp[k - n + low:k - n + half]
+        if n % 2 == 0:
+            xs, ys = xs + [p[half]], ys + (p[half],)
+        out.append(backend.dot(xs, ys))
+    return tuple(out) + (backend.zero,) * (k + 1 - len(out))
 
 
 def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -135,9 +160,12 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     with backend.arith():
         # pw[r] = u**r to order k - r, the last order at which x**r u**r counts
         pw = [(backend.one,) + (zero,) * k, inner.coeffs[1:k + 1]]
-        for r in range(2, min(m, k) + 1):
-            u = PowerSeries(var, backend, pw[1][:k - r + 1])
-            pw.append((u * PowerSeries(var, backend, pw[-1])).coeffs)
+        for r in range(2, min(m, k) + 1):  # u**(2j) = (u**j)**2, u**(2j+1) = u * u**(2j)
+            if r % 2 == 0:
+                pw.append(_square(pw[r // 2][:k - r + 1], backend))
+            else:
+                u = PowerSeries(var, backend, pw[1][:k - r + 1])
+                pw.append((u * PowerSeries(var, backend, pw[-1])).coeffs)
         acc: list[Scalar] = []
         for i in range(k // m, -1, -1):
             low, top = m * i, k - m * i  # B_i starts at o_low; acc_i is needed to x**top

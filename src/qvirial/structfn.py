@@ -20,7 +20,9 @@ The catalogue:
 
 `eval_structure` evaluates any variant on a backend; the rational ones form
 phi(n) as one unreduced integer ratio, with [n]_q = (b**n - a**n) /
-(b**(n-1) * (b-a)) for q = a/b, which the backend converts once.  `eval_eps`
+(b**(n-1) * (b-a)) for q = a/b, which the backend converts once.  On the
+decimal backend QBasicOfQuadratic takes q**e as q**floor(e) * exp(f*ln q),
+f = frac(e): one exp per distinct f, cached per (q, mu, backend).  `eval_eps`
 and `monomial_expansion` expose the eps-expansion of the basic number in the
 binomial and monomial bases (the latter by signed Stirling numbers).
 """
@@ -228,20 +230,17 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
 
 def _qbasic_of_quadratic_decimal(sf: QBasicOfQuadratic, n: int, backend: DecimalBackend):
     exponent = quadratic_number(sf.mu, n)
+    whole = math.floor(exponent)
     q_dec = backend.from_fraction(sf.q)
-    if exponent.denominator == 1:
-        power = q_dec ** int(exponent)
-    else:
-        e_dec = backend.from_fraction(exponent)
-        power = (e_dec * _decimal_ln(sf.q, backend)).exp()
+    power = q_dec ** whole * _fractional_powers(sf.q, sf.mu, backend)(exponent - whole)
     return (1 - power) / (1 - q_dec)
 
 
 @lru_cache(maxsize=1)
-def _decimal_ln(q: Fraction, backend: DecimalBackend):
-    """ln q in the backend's context, kept for the one table being evaluated."""
-    with backend.arith():
-        return backend.from_fraction(q).ln()
+def _fractional_powers(q: Fraction, mu: Fraction, backend: DecimalBackend):
+    """f -> q**f = exp(f*ln q), each f once; called inside backend.arith()."""
+    ln_q = backend.from_fraction(q).ln()
+    return lru_cache(maxsize=None)(lambda f: (backend.from_fraction(f) * ln_q).exp())
 
 
 def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:

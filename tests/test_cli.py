@@ -1,10 +1,12 @@
 """Command-line interface: golden outputs, determinism, exit codes, schemas."""
 
 import json
+import re
+import sys
 
 import pytest
 
-from qvirial import cli
+from qvirial import cli, exact
 from qvirial.cli import main
 
 
@@ -90,6 +92,33 @@ def test_exit_codes():
     assert main(["virial", "--sf", "mu:0", "--K", "1"]) == 2
     assert main(["virial", "--sf", "q-mu:3/2,1/4", "--backend", "exact", "--K", "3"]) == 3
     assert main(["virial", "--sf", "q-eps:order=3", "--backend", "decimal:20", "--K", "3"]) == 3
+
+
+def test_decimal_overflow_is_a_backend_error(capsys):
+    # q**e with e near 10**10 leaves the decimal backend's exponent range
+    code, out, err = run_cli(capsys, "virial", "--sf", "q-mu:2,-1000000", "--K", "100",
+                             "--backend", "decimal:20")
+    assert (code, out) == (3, "")
+    assert err.startswith("qvirial: backend error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["virial", "--sf", "q:1" + "0" * 400, "--K", "12"],
+    ["virial", "--sf", "q-mu:10,-100", "--K", "10", "--backend", "decimal:20"],
+    ["eps-expand", "--order", "30", "--n", "1" + "0" * 500],
+])
+def test_cells_past_the_int_str_digit_limit(capsys, monkeypatch, argv):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert max(len(digits) for digits in re.findall(r"\d+", out)) > limit
+    # the bytes plain str() gives with the limit lifted
+    monkeypatch.setattr(exact, "_text", str)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run_cli(capsys, *argv) == (0, out, "")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_argparse_error_exit_code():

@@ -201,6 +201,18 @@ def test_compose_matches_horner_at_block_boundaries(k):
     assert result.order == k
 
 
+# the Newton shape: revert composes with an inverse of order n = ceil(K/2)
+# padded by K - n zeros, so u = inner/x and its baby powers end in zeros
+@pytest.mark.parametrize("k", [3, 4, 6, 8, 9, 10, 12, 13, 15, 16, 20, 22, 24, 25, 33])
+def test_compose_matches_horner_on_zero_padded_inners(k):
+    rng = random.Random(200 + k)
+    n = (k + 1) // 2
+    outer = PowerSeries("z", SURD, _rand_surds(rng, k + 1))
+    half = [SURD.one] + _rand_surds(rng, n - 1)
+    inner = PowerSeries("z", SURD, [SURD.zero] + half + [SURD.zero] * (k - n))
+    assert compose(outer, inner) == horner_compose(outer, inner)
+
+
 def test_compose_makes_few_series_products(monkeypatch):
     # at K=80, m = 9: baby powers u**2..u**9 and one giant step for each of the
     # 8 blocks under the top one; a power sum makes K - 1 = 79 products
@@ -262,6 +274,22 @@ def _padded_series_st():
 @given(_padded_series_st(), _padded_series_st())
 @settings(max_examples=100, deadline=None)
 def test_mul_matches_convolve(left, right):
+    product = left * right
+    assert product == convolve(left, right)
+    assert product.order == min(left.order, right.order)
+
+
+def _trailing_zeros_series_st():
+    # coefficients that are often zero, then up to four trailing zeros
+    coeffs = st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), min_size=1, max_size=8)
+    return st.tuples(coeffs, st.integers(0, 4)).map(
+        lambda t: PowerSeries("z", SURD, t[0] + [SURD.zero] * t[1])
+    )
+
+
+@given(_trailing_zeros_series_st(), _trailing_zeros_series_st())
+@settings(max_examples=100, deadline=None)
+def test_mul_with_trailing_zeros_matches_convolve(left, right):
     product = left * right
     assert product == convolve(left, right)
     assert product.order == min(left.order, right.order)

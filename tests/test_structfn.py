@@ -81,17 +81,43 @@ def test_basic_number_is_the_geometric_sum():
 
 
 def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
-    # ln q is computed once per table; a new q or digit budget must not reuse it
-    cases = [(Fraction(3, 2), 20), (Fraction(3, 2), 60), (Fraction(2, 5), 60), (Fraction(3, 2), 20)]
-    for q, digits in cases:
-        backend, mu = DecimalBackend(digits), Fraction(1, 7)
+    # q**e = q**floor(e) * exp(frac(e) * ln q), the fractional factors computed
+    # once per table; a new q, mu or digit budget must not reuse them
+    cases = [
+        (Fraction(3, 2), Fraction(1, 7), 20), (Fraction(3, 2), Fraction(1, 7), 60),
+        (Fraction(2, 5), Fraction(1, 7), 60), (Fraction(2, 5), Fraction(3, 7), 60),
+        (Fraction(3, 2), Fraction(1, 7), 20),
+    ]
+    for q, mu, digits in cases:
+        backend = DecimalBackend(digits)
         for n in (2, 3, 5):
             with backend.arith():
                 q_dec = Decimal(q.numerator) / Decimal(q.denominator)
                 e = (1 + mu) * n - mu * n * n
-                power = (Decimal(e.numerator) / Decimal(e.denominator) * q_dec.ln()).exp()
+                f = e - math.floor(e)
+                fraction = (Decimal(f.numerator) / Decimal(f.denominator) * q_dec.ln()).exp()
+                power = q_dec ** math.floor(e) * fraction
                 expected = (1 - power) / (1 - q_dec)
-            assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected, (q, digits, n)
+            assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected, (q, mu, digits, n)
+
+
+@pytest.mark.parametrize("digits", [50, 200])
+def test_qbasic_of_quadratic_decimal_meets_its_digit_budget(digits):
+    # against exp(e * ln q) 150 digits higher; |e| reaches 15,000 at mu = -3/2
+    backend = DecimalBackend(digits)
+    mus = [Fraction(c, 7) for c in (1, 3, 6)] + [Fraction(999, 1000), Fraction(-3, 2)]
+    for mu in mus:
+        for q in (Fraction(3, 2), Fraction(2, 5)):
+            sf = QBasicOfQuadratic(q, mu)
+            with localcontext(Context(prec=digits + 150)):
+                q_ref = Decimal(q.numerator) / Decimal(q.denominator)
+                ln_q = q_ref.ln()
+                for n in range(101):
+                    e = (1 + mu) * n - mu * n * n
+                    power = (Decimal(e.numerator) / Decimal(e.denominator) * ln_q).exp()
+                    reference = (1 - power) / (1 - q_ref)
+                    error = abs(eval_structure(sf, n, backend) - reference)
+                    assert error <= abs(reference) * Decimal(10) ** -(digits + 5), (mu, q, n)
 
 
 def test_eval_on_surd_backend_wraps_rational():

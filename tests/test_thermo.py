@@ -262,6 +262,19 @@ def test_decimal_backend_meets_its_digit_budget_at_bench_scale(descriptor, order
         assert abs(a - e) <= Decimal(10) ** -digits * max(1, abs(e)), k
 
 
+def test_decimal_pipeline_dot_work(monkeypatch):
+    # total length of the backend dot products of one K=80 table: squared baby
+    # powers and products cut to both factors' nonzero spans (78,409 without)
+    lengths = []
+    dot = DecimalBackend.dot
+    monkeypatch.setattr(
+        DecimalBackend, "dot", lambda self, xs, ys: lengths.append(len(xs)) or dot(self, xs, ys)
+    )
+    sf = QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 7))
+    virial_coefficients(GasModel(sf, order=80, backend=DecimalBackend(50)))
+    assert sum(lengths) <= 65_000
+
+
 # -- second-virial deviation -----------------------------------------------------
 
 
