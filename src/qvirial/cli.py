@@ -543,7 +543,11 @@ def _add_common(parser: argparse.ArgumentParser, *, model_flags: bool) -> None:
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("virial", "series", "eps-expand", "hamiltonian", "sweep", "check-paper")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with ``command`` one that registers only that subcommand."""
     parser = argparse.ArgumentParser(
         prog="qvirial",
         description="Exact virial expansions for deformed Bose gas models.",
@@ -551,44 +555,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qvirial {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_virial = sub.add_parser("virial", help="virial coefficients V_1..V_K")
-    _add_common(p_virial, model_flags=True)
-    p_virial.set_defaults(handler=cmd_virial)
+    if command in (None, "virial"):
+        p_virial = sub.add_parser("virial", help="virial coefficients V_1..V_K")
+        _add_common(p_virial, model_flags=True)
+        p_virial.set_defaults(handler=cmd_virial)
 
-    p_series = sub.add_parser("series", help="particle, pressure, and fugacity series")
-    _add_common(p_series, model_flags=True)
-    p_series.set_defaults(handler=cmd_series)
+    if command in (None, "series"):
+        p_series = sub.add_parser("series", help="particle, pressure, and fugacity series")
+        _add_common(p_series, model_flags=True)
+        p_series.set_defaults(handler=cmd_series)
 
-    p_eps = sub.add_parser("eps-expand", help="basic-number expansion tables in eps = q - 1")
-    p_eps.add_argument("--order", dest="expansion_order", type=int, default=6, help="eps order")
-    p_eps.add_argument("--n", type=int, default=None, help="fixed level n for the binomial-basis row")
-    _add_common(p_eps, model_flags=False)
-    p_eps.set_defaults(handler=cmd_eps_expand)
+    if command in (None, "eps-expand"):
+        p_eps = sub.add_parser("eps-expand", help="basic-number expansion tables in eps = q - 1")
+        p_eps.add_argument("--order", dest="expansion_order", type=int, default=6, help="eps order")
+        p_eps.add_argument("--n", type=int, default=None, help="fixed level n for the binomial-basis row")
+        _add_common(p_eps, model_flags=False)
+        p_eps.set_defaults(handler=cmd_eps_expand)
 
-    p_ham = sub.add_parser("hamiltonian", help="ladder-average Hamiltonian split")
-    p_ham.add_argument("--order", dest="expansion_order", type=int, default=4, help="eps order")
-    p_ham.add_argument("--order-mu", dest="order_mu", type=int, default=None,
-                       help="also expand in mu up to this order (two-parameter split)")
-    _add_common(p_ham, model_flags=False)
-    p_ham.set_defaults(handler=cmd_hamiltonian)
+    if command in (None, "hamiltonian"):
+        p_ham = sub.add_parser("hamiltonian", help="ladder-average Hamiltonian split")
+        p_ham.add_argument("--order", dest="expansion_order", type=int, default=4, help="eps order")
+        p_ham.add_argument("--order-mu", dest="order_mu", type=int, default=None,
+                           help="also expand in mu up to this order (two-parameter split)")
+        _add_common(p_ham, model_flags=False)
+        p_ham.set_defaults(handler=cmd_hamiltonian)
 
-    p_sweep = sub.add_parser("sweep", help="virial tables over a parameter grid")
-    _add_common(p_sweep, model_flags=True)
-    p_sweep.add_argument("--sweep", action="append", default=[],
-                         help="<param>=<start>:<stop>:<step> (repeatable; rationals)")
-    p_sweep.set_defaults(handler=cmd_sweep)
+    if command in (None, "sweep"):
+        p_sweep = sub.add_parser("sweep", help="virial tables over a parameter grid")
+        _add_common(p_sweep, model_flags=True)
+        p_sweep.add_argument("--sweep", action="append", default=[],
+                             help="<param>=<start>:<stop>:<step> (repeatable; rationals)")
+        p_sweep.set_defaults(handler=cmd_sweep)
 
-    p_check = sub.add_parser("check-paper", help="re-derive the published closed-form anchors and report misprints")
-    _add_common(p_check, model_flags=False)
-    p_check.set_defaults(handler=cmd_check_paper)
-    p_check.set_defaults(format="pretty")
+    if command in (None, "check-paper"):
+        p_check = sub.add_parser("check-paper", help="re-derive the published closed-form anchors and report misprints")
+        _add_common(p_check, model_flags=False)
+        p_check.set_defaults(handler=cmd_check_paper)
+        p_check.set_defaults(format="pretty")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one job.  When argv[0] names a subcommand only its parser is built;
+    the full parser takes any other argv and reports leftover arguments."""
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_known_args(argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
     except (UnsupportedBackendError, UnboundVariableError) as exc:

@@ -1,8 +1,12 @@
 """Command-line interface: golden outputs, determinism, exit codes, schemas."""
 
+import argparse
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,69 @@ def test_argparse_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["virial"])  # missing --sf
     assert excinfo.value.code == 2
+
+
+def outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, which may exit."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def argv_id(argv):
+    return " ".join(argv) or "no-args"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["--version", "virial"], ["frob"], ["vir"],
+    *[[command, "-h"] for command in cli.COMMANDS],
+    # leftover arguments, whose usage line lists all six commands
+    ["virial", "--sf", "mu:1/2", "--K", "3", "extra"],
+    ["check-paper", "--format", "json", "extra"],
+    ["virial", "--K", "3"],  # missing --sf
+    ["virial", "--sf", "mu:1/2", "--format", "xml"],
+    ["eps-expand", "--order", "x"],
+    ["virial", "--version"],
+], ids=argv_id)
+def test_argparse_outcomes_match_the_full_parser(capsys, monkeypatch, argv):
+    # main builds one subcommand's parser; help, version and every argparse
+    # error must still read exactly as the full parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = outcome(capsys, cli.build_parser().parse_args, argv)
+    assert outcome(capsys, main, argv) == expected
+
+
+def test_a_job_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "eps-expand", "--order", "2")[0] == 0
+    assert built == ["qvirial", "qvirial eps-expand"]
+    monkeypatch.undo()
+    subparsers = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert [tuple(action.choices) for action in subparsers] == [cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", [
+    ["virial", "--sf", "mu:1/2", "--K", "3"],
+    ["virial", "--sf", "mu:1/2", "--format", "xml"],
+], ids=argv_id)
+def test_python_m_entry_matches_main(capsys, monkeypatch, argv):
+    # `python -m qvirial` reads sys.argv, the branch in-process callers skip
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "qvirial", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == outcome(capsys, main, argv)
 
 
 def test_out_file(tmp_path, capsys):
