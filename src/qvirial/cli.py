@@ -313,13 +313,7 @@ def cmd_sweep(args) -> tuple[str, int]:
         for point, model in zip(grid, models)
         for k, value in virial_coefficients(model)
     ]
-    meta = {
-        "command": "sweep",
-        "sf": sf.describe(),
-        "K": str(args.order),
-        "backend": backend.describe(),
-        "provenance": "engine",
-    }
+    meta = {**_model_meta(args, sf, backend), "provenance": "engine"}
     for param, values in sweeps:
         meta[f"sweep_{param}"] = ",".join(str(v) for v in values)
     return _format_table(args.format, meta, columns, rows), 0

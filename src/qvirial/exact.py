@@ -35,7 +35,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from typing import Callable, ClassVar, Mapping, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 from .errors import (
     MixedBackendError,
@@ -250,16 +250,8 @@ class SurdRational:
 
     def render(self) -> str:
         """Canonical text form: terms by ascending radicand, e.g. '-7/16*sqrt(2) + 1/81*sqrt(3)'."""
-        if not self._num:
-            return "0"
-        parts = []
-        for i, (r, c) in enumerate(self.terms.items()):
-            body = _text(abs(c)) if r == 1 else f"{_text(abs(c))}*sqrt({r})"
-            if i == 0:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        den = self._den
+        return _signed_sum((n, den, "" if r == 1 else f"*sqrt({r})") for r, n in self._num.items())
 
     def __str__(self) -> str:
         return self.render()
@@ -599,6 +591,14 @@ def _text(x: int | Fraction) -> str:
     except ValueError:
         num, den = x.as_integer_ratio()
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def _signed_sum(terms: Iterable[tuple[int, int, str]]) -> str:
+    """'-a*s + b*t' from (numerator, denominator > 0, suffix) triples, zeros skipped; '0' if none."""
+    text = " ".join(f"{'-' if n < 0 else '+'} {_text(Fraction(abs(n), d))}{s}" for n, d, s in terms if n)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _round_fixed(num: int, den: int, digits: int) -> str:

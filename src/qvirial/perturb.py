@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import _signed_sum
 from .structfn import _stirling_rows
 
 __all__ = [
@@ -150,20 +151,10 @@ class NumberPoly:
 
     def render(self) -> str:
         """Canonical text form: '1/2 + 1*N + 3/4*N^2' (ascending powers)."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        first = True
-        for p, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            body = str(abs(c)) if p == 0 else f"{abs(c)}*N" if p == 1 else f"{abs(c)}*N^{p}"
-            if first:
-                parts.append(("-" if c < 0 else "") + body)
-                first = False
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        return _signed_sum(
+            (c.numerator, c.denominator, "" if p == 0 else "*N" if p == 1 else f"*N^{p}")
+            for p, c in enumerate(self.coeffs)
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -10,9 +10,11 @@ constants appear.  For a structure function phi and fugacity z:
   fugacity of density z(x) = reversion of x(z)
   virial expansion         = pressure(z(x)) / x = sum_k V_k x**(k-1)
 
-Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) are provided in
-two modes: "corrected", which the engine reversion reproduces exactly, and
-"paper-verbatim", which keeps a misprinted fifth-order term from the source
+Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) come from Lagrange
+inversion: with x = z*a(z), V_k = [z**(k-1)] a(z)**(1-k) / k, the power taken
+by J. C. P. Miller's recurrence with ring operators only, so they share no code
+with the series engine they cross-check.  Mode "corrected" is that formula;
+"paper-verbatim" keeps a misprinted fifth-order term from the source
 publication for errata reporting (its third term reads -2*phi(3)**3/3**5
 where the reversion algebra forces +2*phi(3)**2/3**5).
 """
@@ -159,9 +161,12 @@ def closed_form_virial(
 ) -> Scalar:
     """V_k (k = 2..5) as an explicit polynomial in phi(2)..phi(5).
 
-    mode="corrected" is what the reversion algebra gives (and what reproduces
-    the known undeformed gas values); mode="paper-verbatim" substitutes the
-    misprinted fifth-order third term -2*phi(3)**3/3**5 exactly as printed.
+    Lagrange inversion of x = z*a(z), a = 1 + sum_{n>=2} phi(n) z**(n-1) / n**(5/2),
+    gives V_k = h_(k-1) / k with h = a**(1-k); Miller's recurrence (Knuth, TAOCP
+    vol. 2, 4.7) builds it as h_0 = 1, m*h_m = sum_{i=1..m} ((2-k)*i - m)*a_i*h_(m-i).
+    mode="corrected" is that value (it reproduces the known undeformed gas
+    values); mode="paper-verbatim" swaps the fifth-order third term
+    +2*phi(3)**2/3**5 for the misprinted -2*phi(3)**3/3**5, as printed.
     """
     if mode not in ("corrected", "paper-verbatim"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -169,32 +174,16 @@ def closed_form_virial(
         raise UnsupportedOrderError(
             f"closed forms exist for k = 2..{CLOSED_FORM_MAX_ORDER}; use the engine for k = {k}"
         )
-    hp = backend.half_power
-    rat = backend.from_fraction
     phi = {n: eval_structure(sf, n, backend) for n in range(2, k + 1)}
     with backend.arith():
-        if k == 2:
-            return -(phi[2] * hp(2, 7))
-        if k == 3:
-            return phi[2] * phi[2] * rat(Fraction(1, 32)) - 2 * phi[3] * hp(3, 7)
-        if k == 4:
-            return (
-                -3 * phi[4] * hp(4, 7)
-                + phi[2] * phi[3] * hp(2, 5) * hp(3, 3)
-                - 5 * phi[2] ** 3 * hp(2, 17)
-            )
-        third = (
-            phi[3] ** 2 * rat(Fraction(2, 243))
-            if mode == "corrected"
-            else -(phi[3] ** 3 * rat(Fraction(2, 243)))
-        )
-        return (
-            -4 * phi[5] * hp(5, 7)
-            + phi[2] * phi[4] * hp(2, 11)
-            + third
-            - phi[2] ** 2 * phi[3] * rat(Fraction(1, 8)) * hp(3, 3)
-            + phi[2] ** 4 * rat(Fraction(7, 1024))
-        )
+        a = [backend.one] + [phi[n] * backend.half_power(n, 5) for n in range(2, k + 1)]
+        h = [backend.one]
+        for m in range(1, k):
+            h.append(sum(((2 - k) * i - m) * a[i] * h[m - i] for i in range(1, m + 1)) / m)
+        value = h[k - 1] / k
+        if mode == "paper-verbatim" and k == 5:
+            value -= (phi[3] ** 2 + phi[3] ** 3) * backend.from_fraction(Fraction(2, 243))
+        return value
 
 
 def second_virial_deviation(sf: StructureFunction, backend: Backend = SURD) -> Scalar:

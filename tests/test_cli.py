@@ -395,5 +395,16 @@ def test_check_paper_json(capsys):
     assert all(s in ("PASS", "DISCREPANCY") for s in statuses.values())
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["check-paper"], "check_paper.txt"), (["check-paper", "--format", "json"], "check_paper.json")],
+    ids=["pretty", "json"],
+)
+def test_check_paper_output_is_pinned(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
 def test_check_paper_rejects_csv():
     assert main(["check-paper", "--format", "csv"]) == 2

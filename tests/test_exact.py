@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qvirial import (
     DecimalBackend,
     MixedBackendError,
+    NumberPoly,
     SURD,
     SurdRational,
     TruncPoly,
@@ -171,6 +172,11 @@ def test_render_ordering_and_signs():
     assert value.render() == "317/1728 + 1/8*sqrt(2) - 1/6*sqrt(3) - 4/125*sqrt(5)"
     assert SurdRational().render() == "0"
     assert SurdRational.from_fraction(2).render() == "2"
+    assert SurdRational({1: -2, 3: Fraction(1, 9)}).render() == "-2 + 1/9*sqrt(3)"
+    # NumberPoly renders through the same signed-sum join
+    assert NumberPoly().render() == "0"
+    assert NumberPoly([0, Fraction(-3, 2), 0, 0, 5]).render() == "-3/2*N + 5*N^4"
+    assert NumberPoly([-1, 0, 1]).render() == "-1 + 1*N^2"
 
 
 # -- truncated polynomials ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Deformed gas pipeline: series coefficients, engine virial tables against
 closed forms, deviation limits, limit consistency, and backend agreement."""
 
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from qvirial import (
     Quadratic,
     QuadraticOfQBasic,
     SURD,
+    SurdBackend,
     SurdRational,
     TruncPoly,
     TruncPolyBackend,
@@ -36,7 +38,7 @@ from qvirial import (
     virial_coefficients,
 )
 
-from qvirial import thermo
+from qvirial import series, thermo
 
 from helpers import horner_compose, loop_revert, rand_fraction, rand_positive_q, sig_agree
 
@@ -186,6 +188,50 @@ def test_closed_form_quadratic_third_coefficient_example():
     assert value == SurdRational.from_fraction(frac(1, 32))
 
 
+def test_paper_verbatim_differs_from_corrected_only_by_the_fifth_order_misprint():
+    rng = random.Random(23)
+    for _ in range(40):
+        mu, q = rand_fraction(rng), rand_positive_q(rng)
+        sf = QuadraticOfQBasic(mu, q)
+        for k in range(2, 5):
+            assert closed_form_virial(sf, k, "paper-verbatim") == closed_form_virial(sf, k), (sf, k)
+        basic3 = 1 + q + q * q
+        phi3 = (1 + mu) * basic3 - mu * basic3 * basic3
+        delta = closed_form_virial(sf, 5) - closed_form_virial(sf, 5, "paper-verbatim")
+        assert delta == frac(2, 243) * (phi3**2 + phi3**3), sf
+
+
+def test_closed_forms_share_no_code_with_the_series_engine(monkeypatch):
+    # the engine cross-check means something only while the closed forms sum
+    # with ring operators: no qvirial.series call and no fused multi-term dot
+    # (a surd product is itself a one-term SURD.dot)
+    cases = [
+        (QuadraticOfQBasic(frac(1, 3), frac(7, 5)), SURD),
+        (QBasicSeries(3), TruncPolyBackend(3)),
+        (Interpolated(frac(1, 3), frac(1, 4), frac(3, 2)), DEC50),
+    ]
+    modes = ("corrected", "paper-verbatim")
+    expected = [closed_form_virial(sf, k, mode, b) for sf, b in cases for k in range(2, 6) for mode in modes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed forms must not call qvirial.series")
+
+    for name, obj in vars(series).items():
+        if callable(obj) and getattr(obj, "__module__", None) == "qvirial.series":
+            monkeypatch.setattr(series, name, forbidden)
+            if getattr(thermo, name, None) is obj:
+                monkeypatch.setattr(thermo, name, forbidden)
+    for cls in (SurdBackend, TruncPolyBackend, DecimalBackend):
+        def one_term_dot(self, xs, ys, dot=cls.dot):
+            assert len(xs) == 1, "closed forms must not sum through a multi-term dot"
+            return dot(self, xs, ys)
+        monkeypatch.setattr(cls, "dot", one_term_dot)
+    with pytest.raises(AssertionError):
+        virial_coefficients(GasModel(UNDEFORMED, order=3, backend=SURD))
+    got = [closed_form_virial(sf, k, mode, b) for sf, b in cases for k in range(2, 6) for mode in modes]
+    assert got == expected
+
+
 @given(st.fractions(min_value=-2, max_value=2, max_denominator=8))
 @settings(max_examples=40, deadline=None)
 def test_first_virial_always_one(mu):
@@ -320,7 +366,7 @@ def test_gas_model_requires_order_two():
 
 def test_eps_virial_table_polynomials():
     backend = TruncPolyBackend(2)
-    table = virial_coefficients(GasModel(QBasicSeries(2), order=3, backend=backend))
+    table = virial_coefficients(GasModel(QBasicSeries(2), order=5, backend=backend))
     v2 = table.coefficient(2)
     # V2(eps) = -(2 + eps)/2^(7/2)
     assert v2 == TruncPoly(2, {0: SurdRational({2: frac(-1, 8)}), 1: SurdRational({2: frac(-1, 16)})})
@@ -331,9 +377,53 @@ def test_eps_virial_table_polynomials():
     assert table.first_nonpositive_phi is None
     # closed forms evaluate on the same backend and must agree
     assert closed_form_virial(QBasicSeries(2), 3, "corrected", backend) == v3
+    for k in range(2, 6):
+        assert closed_form_virial(QBasicSeries(2), k, "corrected", backend) == table.coefficient(k), k
 
 
 def test_qbasic_of_quadratic_rejected_on_exact_backend():
     model = GasModel(QBasicOfQuadratic(frac(3, 2), frac(1, 4)), order=3, backend=SURD)
     with pytest.raises(UnsupportedBackendError):
         virial_coefficients(model)
+
+
+# -- metamorphic identities of the engine ------------------------------------------
+
+
+@pytest.mark.parametrize("q", [frac(5, 3), frac(-2, 7), frac(3)])
+def test_inverting_q_scales_v_k_by_q_to_the_one_minus_k(q):
+    # [n]_(1/q) = q**(1-n) [n]_q, and V_k has weight k-1 in phi(2), phi(3), ...
+    table = virial_coefficients(GasModel(parse_descriptor(f"q:{q}"), order=10, backend=SURD))
+    inverse = virial_coefficients(GasModel(parse_descriptor(f"q:{1 / q}"), order=10, backend=SURD))
+    for k in range(1, 11):
+        assert inverse.coefficient(k) == q ** (1 - k) * table.coefficient(k), k
+
+
+@pytest.mark.parametrize("descriptor", ["mu:{}", "mu-q:{},3/2"])
+def test_kth_finite_difference_in_mu_of_v_k_vanishes(descriptor):
+    # phi(n) is linear in mu, so V_k is a polynomial of degree <= k-1 in mu
+    tables = [
+        virial_coefficients(GasModel(parse_descriptor(descriptor.format(frac(j, 3))), order=10, backend=SURD))
+        for j in range(11)
+    ]
+    for k in range(1, 11):
+        difference = sum((-1) ** (k - j) * math.comb(k, j) * tables[j].coefficient(k) for j in range(k + 1))
+        assert difference == 0, k
+
+
+@pytest.mark.parametrize(
+    "descriptor, backend",
+    [("mu-q:1/3,7/5", SURD), ("q:-2/7", SURD), ("mu:2/5", SURD), ("q-eps:order=2", TruncPolyBackend(2))],
+    ids=["mu-q", "q", "mu", "q-eps"],
+)
+def test_gibbs_duhem_reads_the_table_off_ln_of_z_over_x(descriptor, backend):
+    # V_k = (k-1)/k [x**(k-1)] ln(z(x)/x); the log of the unit series u = z/x
+    # by m*l_m = m*u_m - sum_{i=1..m-1} i*l_i*u_(m-i)
+    model = GasModel(parse_descriptor(descriptor), order=10, backend=backend)
+    u = fugacity_of_density(model).coeffs[1:]
+    log = [backend.zero]
+    for m in range(1, len(u)):
+        log.append(u[m] - sum((i * log[i] * u[m - i] for i in range(1, m)), backend.zero) / m)
+    table = virial_coefficients(model)
+    for k in range(2, 11):
+        assert table.coefficient(k) == log[k - 1] * frac(k - 1, k), k
