@@ -210,17 +210,18 @@ class SurdRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "SurdRational":
-        if isinstance(other, SurdRational):
-            if not other.is_rational():
-                raise ValueError(
-                    "general surd inversion is not supported; divisors must be rational"
-                )
-            other = other.rational_part()
         if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of SurdRational by zero")
-            return self * (Fraction(1) / Fraction(other))
-        raise MixedBackendError(f"SurdRational can only be divided by a nonzero rational, got {type(other).__name__}")
+            n, d = other.as_integer_ratio()
+        elif isinstance(other, SurdRational) and other.is_rational():
+            n, d = other._num.get(1, 0), other._den
+        elif isinstance(other, SurdRational):
+            raise ValueError("general surd inversion is not supported; divisors must be rational")
+        else:
+            raise MixedBackendError(f"SurdRational can only be divided by a nonzero rational, got {type(other).__name__}")
+        if not n:
+            raise ZeroDivisionError("division of SurdRational by zero")
+        sign = -1 if n < 0 else 1  # the sign moves into the numerators: _den stays positive
+        return _surd({r: sign * d * c for r, c in self._num.items()}, self._den * abs(n))
 
     def __pow__(self, exponent: int) -> "SurdRational":
         if not isinstance(exponent, int) or exponent < 0:
@@ -356,13 +357,10 @@ class TruncPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "TruncPoly":
-        if isinstance(other, SurdRational):
-            other = other.rational_part()
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of TruncPoly by zero")
-            return self * (Fraction(1) / Fraction(other))
-        raise MixedBackendError("TruncPoly can only be divided by a nonzero rational")
+        if not isinstance(other, (int, Fraction, SurdRational)):
+            raise MixedBackendError("TruncPoly can only be divided by a nonzero rational")
+        coeffs = self._coeffs or {0: SurdRational()}  # zero still rejects a bad divisor
+        return TruncPoly(self._order, {e: c / other for e, c in coeffs.items()})
 
     def __pow__(self, exponent: int) -> "TruncPoly":
         if not isinstance(exponent, int) or exponent < 0:

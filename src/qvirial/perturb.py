@@ -16,7 +16,8 @@ linearly), the exact expansion of (phi(N+1) + phi(N))/2 for
 phi = (1+mu)*[.]_q - mu*[.]_q**2 with [N]_q = sum_i eps**i * C(N, i+1): the
 shift is Pascal's rule C(N+1, i+1) = C(N, i+1) + C(N, i), and the square is
 one integer convolution of Stirling rows.  Coefficients stay integer
-numerators over one denominator until each becomes a Fraction, once.
+numerators over one denominator until each becomes a Fraction, once, in a
+NumberPoly: a value that compares, evaluates and renders, with no arithmetic.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
 
 
 class NumberPoly:
-    """Polynomial in the number operator N with rational coefficients."""
+    """Polynomial in the number operator N with rational coefficients (a value, not a ring)."""
 
     __slots__ = ("coeffs",)
 
@@ -59,66 +60,13 @@ class NumberPoly:
         out.coeffs = tuple(Fraction(c, den) for c in nums)
         return out
 
-    @classmethod
-    def constant(cls, value) -> "NumberPoly":
-        return cls([Fraction(value)])
-
-    @classmethod
-    def variable(cls) -> "NumberPoly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: object) -> "NumberPoly":
-        if isinstance(other, (int, Fraction)):
-            other = NumberPoly.constant(other)
-        if not isinstance(other, NumberPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return NumberPoly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "NumberPoly":
-        return NumberPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: object) -> "NumberPoly":
-        if isinstance(other, (int, Fraction)):
-            other = NumberPoly.constant(other)
-        if not isinstance(other, NumberPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "NumberPoly":
-        if isinstance(other, (int, Fraction)):
-            return NumberPoly([c * other for c in self.coeffs])
-        if not isinstance(other, NumberPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return NumberPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return NumberPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "NumberPoly":
-        return NumberPoly([c / other for c in self.coeffs])
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = NumberPoly.constant(other)
+            other = NumberPoly([other])
         if not isinstance(other, NumberPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -127,27 +75,15 @@ class NumberPoly:
         # a constant polynomial equals its coefficient, so it must hash like it
         return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
-    def __call__(self, n) -> Fraction:
-        if isinstance(n, int):  # integer Horner over the common denominator
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            total = 0
-            for c in reversed(self.coeffs):
-                total = total * n + c.numerator * (den // c.denominator)
-            return Fraction(total, den)
-        total = Fraction(0)
+    def __call__(self, n: int | Fraction) -> Fraction:
+        """p(a/b) by one integer Horner pass: sum_k c_k*a**k*b**(d-k) / b**d."""
+        a, b = n.as_integer_ratio()
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        total, scale = 0, 1
         for c in reversed(self.coeffs):
-            total = total * n + c
-        return total
-
-    def shifted(self) -> "NumberPoly":
-        """The polynomial of N+1: p(N+1)."""
-        out = NumberPoly()
-        base = NumberPoly([1])
-        step = NumberPoly([1, 1])
-        for c in self.coeffs:
-            out = out + base * c
-            base = base * step
-        return out
+            total = total * a + c.numerator * (den // c.denominator) * scale
+            scale *= b
+        return Fraction(total * b, den * scale)  # scale = b**(d+1)
 
     def render(self) -> str:
         """Canonical text form: '1/2 + 1*N + 3/4*N^2' (ascending powers)."""
@@ -156,8 +92,7 @@ class NumberPoly:
             for p, c in enumerate(self.coeffs)
         )
 
-    def __str__(self) -> str:
-        return self.render()
+    __str__ = render
 
     def __repr__(self) -> str:
         return f"NumberPoly({self.render()!r})"
@@ -176,11 +111,7 @@ class HamiltonianSplit:
     def evaluate(self, n, eps) -> Fraction:
         """sum_i eps**i * term_i(n) for rational eps and (usually integer) n."""
         eps = Fraction(eps)
-        total, power = Fraction(0), Fraction(1)
-        for poly in self.terms:
-            total += power * poly(n)
-            power *= eps
-        return total
+        return sum((eps**i * poly(n) for i, poly in enumerate(self.terms)), Fraction(0))
 
 
 def hamiltonian_split(order: int) -> HamiltonianSplit:
@@ -217,10 +148,7 @@ class TwoParamSplit:
 
     def evaluate(self, n, eps, mu) -> Fraction:
         eps, mu = Fraction(eps), Fraction(mu)
-        total = Fraction(0)
-        for (i, j), poly in self.terms.items():
-            total += eps**i * mu**j * poly(n)
-        return total
+        return sum((eps**i * mu**j * poly(n) for (i, j), poly in self.terms.items()), Fraction(0))
 
 
 def two_param_split(order_eps: int, order_mu: int) -> TwoParamSplit:

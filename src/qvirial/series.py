@@ -178,8 +178,9 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         return PowerSeries(var, backend, acc)
 
 
-def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
-    """Compositional inverse g with compose(f, g) = identity to order K.
+def revert(f: PowerSeries) -> PowerSeries:
+    """Compositional inverse g with compose(f, g) = identity to order K; g is
+    a series in x if f is one in z, else in z.
 
     Needs c_0 = 0 and an invertible rational c_1 (every series in the gas
     pipeline has c_1 = phi(1) = 1).  Up to order 16, solved coefficient by
@@ -195,12 +196,11 @@ def revert(f: PowerSeries, var: str | None = None) -> PowerSeries:
         raise ZeroLinearCoefficientError("revert needs a nonzero linear coefficient")
     backend = f.backend
     inv_c1 = backend.invert_unit(f.coeffs[1])
-    if var is None:
-        var = "x" if f.var == "z" else "z"
+    var = "x" if f.var == "z" else "z"
     zero, dot = backend.zero, backend.dot
     if k > _DIRECT_REVERT_ORDER:
         n = (k + 1) // 2
-        half = revert(PowerSeries(f.var, backend, f.coeffs[:n + 1]), var).coeffs
+        half = revert(PowerSeries(f.var, backend, f.coeffs[:n + 1])).coeffs
         with backend.arith():
             f_half = compose(f, PowerSeries(var, backend, half + (zero,) * (k - n))).coeffs
             residual = PowerSeries(var, backend, [-c for c in f_half[n + 1:]])  # from x**(n+1)

@@ -71,13 +71,13 @@ class GasModel:
             raise ValueError("truncation order must be >= 2 (at least one nontrivial virial coefficient)")
 
 
-def log_partition_series(order: int, backend: Backend = SURD, var: str = "z") -> PowerSeries:
+def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
     """Reduced log-partition series sum_{n>=1} z**n / n**(5/2)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     coeffs: list[Scalar] = [backend.zero]
     coeffs.extend(backend.half_power(n, 5) for n in range(1, order + 1))
-    return PowerSeries(var, backend, coeffs)
+    return PowerSeries("z", backend, coeffs)
 
 
 def particle_series(model: GasModel) -> PowerSeries:
@@ -92,7 +92,7 @@ def pressure_series(model: GasModel) -> PowerSeries:
 
 def fugacity_of_density(model: GasModel) -> PowerSeries:
     """z as a series in the reduced density x = lambda**3/v (reversion of x(z))."""
-    return revert(particle_series(model), var="x")
+    return revert(particle_series(model))
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def virial_coefficients(model: GasModel) -> VirialTable:
     the coefficients of x**(k-1) (after dividing once by x).  Both come from
     one density series x(z)."""
     x = particle_series(model)
-    expansion = compose(euler_inverse(x), revert(x, var="x"))
+    expansion = compose(euler_inverse(x), revert(x))
     assert not expansion.coeffs[0]
     return VirialTable(
         sf=model.sf,
@@ -179,7 +179,7 @@ def closed_form_virial(
         a = [backend.one] + [phi[n] * backend.half_power(n, 5) for n in range(2, k + 1)]
         h = [backend.one]
         for m in range(1, k):
-            h.append(sum(((2 - k) * i - m) * a[i] * h[m - i] for i in range(1, m + 1)) / m)
+            h.append(sum((((2 - k) * i - m) * a[i] * h[m - i] for i in range(1, m + 1)), backend.zero) / m)
         value = h[k - 1] / k
         if mode == "paper-verbatim" and k == 5:
             value -= (phi[3] ** 2 + phi[3] ** 3) * backend.from_fraction(Fraction(2, 243))

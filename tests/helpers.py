@@ -1,16 +1,16 @@
 """Shared test utilities: independent decimal oracles, comparison helpers, the
 identity series, operator-per-term references for series products, reversion
-and composition (Horner), a Fraction-per-term reference for the surd ring, and
-Fraction references for the ladder splits, the rational structure functions and
-polynomial evaluation."""
+and composition (Horner), a Fraction-per-term reference for the surd ring, a
+Lagrange-Buermann virial oracle on it, and Fraction-list references for the
+ladder splits, the rational structure functions and polynomial evaluation."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import zip_longest
 import math
 import random
 
 from qvirial import (
-    NumberPoly,
     PowerSeries,
     QBasic,
     Quadratic,
@@ -185,53 +185,116 @@ class FractionSurd:
         return " ".join(parts)
 
 
-def binomial_poly(k: int) -> NumberPoly:
-    """C(N, k) as a polynomial in N: N(N-1)...(N-k+1)/k!, by NumberPoly products."""
-    poly = NumberPoly([1])
+def _convolve_surd(p: list, q: list) -> list:
+    """p*q truncated to len(p), one FractionSurd product per term."""
+    out = [FractionSurd() for _ in p]
+    for i, a in enumerate(p):
+        for j in range(len(p) - i):
+            out[i + j] = out[i + j] + a * q[j]
+    return out
+
+
+def lagrange_virials(sf, order: int) -> list:
+    """V_1..V_order as FractionSurds by Lagrange-Buermann inversion, sharing no
+    code with series.py or SurdRational: with x(z) = z*a(z),
+    a = sum_n phi(n) z**(n-1) / n**(5/2) and H = z/x(z) = 1/a,
+    V_k = [z**(k-1)] H**(k-1) / k, the powers by plain convolutions."""
+    # n**(-5/2) = sqrt(n)/n**3; H = 1/a needs a_0 = phi(1) = 1
+    a = [FractionSurd({n: fraction_phi(sf, n) / n**3}) for n in range(1, order + 1)]
+    assert a[0] == FractionSurd({1: 1})
+    h = [FractionSurd({1: 1})]
+    for m in range(1, order):
+        total = FractionSurd()
+        for i in range(1, m + 1):
+            total = total + a[i] * h[m - i]
+        h.append(-total)
+    values, power = [FractionSurd({1: 1})], h  # power = H**(k-1)
+    for k in range(2, order + 1):
+        values.append(power[k - 1] / k)
+        if k < order:
+            power = _convolve_surd(power, h)
+    return values
+
+
+# Polynomials in N as plain coefficient lists [c_0, c_1, ...] of Fractions,
+# with their own arithmetic, as references for perturb's integer splits.
+
+
+def poly_add(p: list, q: list) -> list:
+    return [a + b for a, b in zip_longest(p, q, fillvalue=Fraction(0))]
+
+
+def poly_scale(p: list, c) -> list:
+    return [a * c for a in p]
+
+
+def poly_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_shift(p: list) -> list:
+    """p(N+1) by Horner's rule in N+1."""
+    out: list = []
+    for c in reversed(p):
+        out = poly_add(poly_mul(out, [1, 1]), [c])
+    return out
+
+
+def poly_trim(p: list) -> tuple:
+    """The coefficients without trailing zeros: a NumberPoly's canonical `coeffs`."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def binomial_poly(k: int) -> list:
+    """C(N, k) as a polynomial in N: N(N-1)...(N-k+1)/k!, by list products."""
+    poly = [Fraction(1)]
     for j in range(k):
-        poly = poly * NumberPoly([-j, 1])
-    return poly / math.factorial(k)
+        poly = poly_mul(poly, [-j, 1])
+    return poly_scale(poly, Fraction(1, math.factorial(k)))
 
 
-def fraction_hamiltonian_terms(order: int) -> tuple[NumberPoly, ...]:
-    """hamiltonian_split's terms by NumberPoly products: (2N+1-i)/(2*(i+1)!)
-    times the falling factorial, one Fraction per coefficient operation."""
-    terms = [NumberPoly([Fraction(1, 2), 1])]
-    falling = NumberPoly([1])
+def fraction_hamiltonian_terms(order: int) -> tuple[tuple, ...]:
+    """The coefficients of hamiltonian_split's terms by list products:
+    (2N+1-i)/(2*(i+1)!) times the falling factorial, one Fraction per
+    coefficient operation."""
+    terms = [[Fraction(1, 2), Fraction(1)]]
+    falling = [Fraction(1)]
     for i in range(1, order + 1):
-        falling = falling * NumberPoly([-(i - 1), 1])  # now N(N-1)...(N-i+1)
-        prefactor = NumberPoly([1 - i, 2]) / (2 * math.factorial(i + 1))
-        terms.append(prefactor * falling)
-    return tuple(terms)
+        falling = poly_mul(falling, [-(i - 1), 1])  # now N(N-1)...(N-i+1)
+        prefactor = poly_scale([1 - i, 2], Fraction(1, 2 * math.factorial(i + 1)))
+        terms.append(poly_mul(prefactor, falling))
+    return tuple(poly_trim(t) for t in terms)
 
 
-def fraction_two_param_terms(order_eps: int, order_mu: int) -> dict[tuple[int, int], NumberPoly]:
-    """two_param_split's terms by NumberPoly products, shifts and squares."""
+def fraction_two_param_terms(order_eps: int, order_mu: int) -> dict[tuple[int, int], tuple]:
+    """The coefficients of two_param_split's nonzero terms by list products,
+    shifts and squares."""
     basic = [binomial_poly(i + 1) for i in range(order_eps + 1)]
-    shifted = [poly.shifted() for poly in basic]
+    shifted = [poly_shift(poly) for poly in basic]
 
-    def square(rows: list[NumberPoly]) -> list[NumberPoly]:
-        out = [NumberPoly() for _ in range(order_eps + 1)]
+    def square(rows: list) -> list:
+        out: list = [[] for _ in range(order_eps + 1)]
         for a in range(order_eps + 1):
-            if rows[a].is_zero():
-                continue
             for b in range(order_eps + 1 - a):
-                out[a + b] = out[a + b] + rows[a] * rows[b]
+                out[a + b] = poly_add(out[a + b], poly_mul(rows[a], rows[b]))
         return out
 
-    terms: dict[tuple[int, int], NumberPoly] = {}
-    for i in range(order_eps + 1):
-        avg = (basic[i] + shifted[i]) / 2
-        if not avg.is_zero():
-            terms[(i, 0)] = avg
+    half = Fraction(1, 2)
+    terms = {(i, 0): poly_scale(poly_add(basic[i], shifted[i]), half) for i in range(order_eps + 1)}
     if order_mu >= 1:
-        sq_basic = square(basic)
-        sq_shifted = square(shifted)
+        # eps**i rows of [N]_q**2 + [N+1]_q**2
+        squares = [poly_add(a, b) for a, b in zip(square(basic), square(shifted))]
         for i in range(order_eps + 1):
-            row = (basic[i] - sq_basic[i] + shifted[i] - sq_shifted[i]) / 2
-            if not row.is_zero():
-                terms[(i, 1)] = row
-    return terms
+            row = poly_add(poly_add(basic[i], shifted[i]), poly_scale(squares[i], -1))
+            terms[(i, 1)] = poly_scale(row, half)
+    return {key: poly_trim(p) for key, p in terms.items() if poly_trim(p)}
 
 
 def fraction_phi(sf, n: int) -> Fraction:
@@ -246,9 +309,9 @@ def fraction_phi(sf, n: int) -> Fraction:
     return (1 + sf.mu) * base - sf.mu * base * base
 
 
-def fraction_horner(poly: NumberPoly, n) -> Fraction:
-    """poly(n) by Horner's rule in Fractions."""
+def fraction_horner(coeffs, n) -> Fraction:
+    """sum_k coeffs[k]*n**k by Horner's rule in Fractions."""
     total = Fraction(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         total = total * Fraction(n) + c
     return total

@@ -128,6 +128,27 @@ def test_division_by_rational_and_zero():
         root2 / SurdRational.sqrt_int(3)  # general surd inversion is out of scope
 
 
+def test_truncpoly_division_by_a_rational():
+    poly = TruncPoly(3, {0: SurdRational({1: Fraction(3, 4), 2: -5}), 2: SurdRational({3: Fraction(7, 9)}), 3: 2})
+    divisors = [3, -4, Fraction(5, 7), Fraction(-2, 9)]
+    divisors += [SurdRational.from_fraction(Fraction(6, 5)), SurdRational.from_fraction(-11)]
+    for r in divisors:
+        value = Fraction(r) if not isinstance(r, SurdRational) else r.rational_part()
+        expected = {e: {rad: c / value for rad, c in coeff.terms.items()} for e, coeff in poly.coeffs.items()}
+        quotient = poly / r
+        assert quotient.order == 3 and {e: c.terms for e, c in quotient.coeffs.items()} == expected, r
+        assert TruncPoly(3) / r == TruncPoly(3)
+    for p in (poly, TruncPoly(3)):
+        for zero in (0, Fraction(0), SurdRational()):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+        for other in (Decimal(2), TruncPoly(3, {0: 2})):
+            with pytest.raises(MixedBackendError):
+                p / other
+        with pytest.raises(ValueError):
+            p / SurdRational.sqrt_int(2)
+
+
 def test_mixed_backend_rejected():
     with pytest.raises(MixedBackendError):
         SurdRational.sqrt_int(2) + Decimal("1.5")

@@ -95,12 +95,9 @@ def test_two_param_eps_row_matches_single_split():
 
 
 def test_two_param_mu_row_at_eps_zero():
-    # (phi_mu(N+1) + phi_mu(N))/2 - free part = (mu/2)(2N + 1 - N^2 - (N+1)^2)
+    # (phi_mu(N+1) + phi_mu(N))/2 - free part = (mu/2)(2N + 1 - N^2 - (N+1)^2) = -mu*N^2
     split = two_param_split(2, 1)
-    n_poly = NumberPoly.variable()
-    shifted = n_poly.shifted()
-    expected = (n_poly + shifted - n_poly * n_poly - shifted * shifted) / 2
-    assert split.term(0, 1) == expected
+    assert split.term(0, 1) == NumberPoly([0, 0, -1])
 
 
 def test_two_param_mu_degree_is_one():
@@ -128,39 +125,26 @@ def test_two_param_matches_direct_ladder_average():
         assert split.evaluate(n, q - 1, mu) == direct, (mu, q, n)
 
 
-# -- integer Stirling-row splits against the NumberPoly-product references --------
+# -- integer Stirling-row splits against the Fraction-list references -------------
 
 
 def test_hamiltonian_split_matches_fraction_reference():
     for order in range(41):
-        assert hamiltonian_split(order).terms == fraction_hamiltonian_terms(order), order
+        coeffs = tuple(poly.coeffs for poly in hamiltonian_split(order).terms)
+        assert coeffs == fraction_hamiltonian_terms(order), order
 
 
 def test_two_param_split_matches_fraction_reference():
     for order_eps in range(15):
         for order_mu in range(4):
             split = two_param_split(order_eps, order_mu)
-            assert split.terms == fraction_two_param_terms(order_eps, order_mu), (order_eps, order_mu)
-
-
-def test_splits_make_no_generic_poly_arithmetic(monkeypatch):
-    calls = []
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
-        method = getattr(NumberPoly, name)
-
-        def counted(self, other, _method=method, _name=name):
-            calls.append(_name)
-            return _method(self, other)
-
-        monkeypatch.setattr(NumberPoly, name, counted)
-    hamiltonian_split(12)
-    two_param_split(12, 1)
-    assert calls == []
+            coeffs = {key: poly.coeffs for key, poly in split.terms.items()}
+            assert coeffs == fraction_two_param_terms(order_eps, order_mu), (order_eps, order_mu)
 
 
 def test_number_poly_hashes_like_the_number_it_equals():
     for value in (0, 3, -2, Fraction(5, 7)):
-        poly = NumberPoly.constant(value)
+        poly = NumberPoly([value])
         assert poly == value and hash(poly) == hash(value)
         assert len({poly, value}) == 1
     assert NumberPoly() == 0 and len({NumberPoly(), 0}) == 1
@@ -169,10 +153,10 @@ def test_number_poly_hashes_like_the_number_it_equals():
 
 def test_number_poly_call_matches_fraction_horner():
     rng = random.Random(5)
-    polys = [NumberPoly(), NumberPoly.constant(Fraction(-3, 4)), *hamiltonian_split(9).terms]
+    polys = [NumberPoly(), NumberPoly([Fraction(-3, 4)]), *hamiltonian_split(9).terms]
     polys += [NumberPoly([rand_fraction(rng) for _ in range(rng.randint(1, 8))]) for _ in range(20)]
     args = [0, 1, -1, -7, 12, 10**6, -(10**6), Fraction(-5, 3), Fraction(7, 2), Fraction(0)]
     for poly in polys:
         for n in args:
             value = poly(n)
-            assert type(value) is Fraction and value == fraction_horner(poly, n), (poly, n)
+            assert type(value) is Fraction and value == fraction_horner(poly.coeffs, n), (poly, n)

@@ -40,7 +40,15 @@ from qvirial import (
 
 from qvirial import series, thermo
 
-from helpers import horner_compose, loop_revert, rand_fraction, rand_positive_q, sig_agree
+from helpers import (
+    FractionSurd,
+    horner_compose,
+    lagrange_virials,
+    loop_revert,
+    rand_fraction,
+    rand_positive_q,
+    sig_agree,
+)
 
 DEC50 = DecimalBackend(50)
 
@@ -385,6 +393,17 @@ def test_qbasic_of_quadratic_rejected_on_exact_backend():
     model = GasModel(QBasicOfQuadratic(frac(3, 2), frac(1, 4)), order=3, backend=SURD)
     with pytest.raises(UnsupportedBackendError):
         virial_coefficients(model)
+
+
+# -- deep exact oracle --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor, order", [("mu-q:1/3,7/5", 16), ("q:5/3", 20)])
+def test_engine_matches_the_lagrange_buermann_oracle(descriptor, order):
+    # K=20 is past _DIRECT_REVERT_ORDER, so there revert takes its Newton step
+    sf = parse_descriptor(descriptor)
+    table = virial_coefficients(GasModel(sf, order=order, backend=SURD))
+    assert [FractionSurd(v.terms) for v in table.values] == lagrange_virials(sf, order)
 
 
 # -- metamorphic identities of the engine ------------------------------------------
