@@ -13,7 +13,6 @@ import decimal
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -153,7 +152,7 @@ def _model(sf, args, backend: Backend, **params) -> GasModel:
     """
     _check_cap(args.order, MAX_ORDER, "--K")
     try:
-        return GasModel(replace(sf, **params), order=args.order, backend=backend)
+        return GasModel(sf.replace(**params), order=args.order, backend=backend)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Iterable, Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
-from typing import Callable, ClassVar, Iterable, Mapping, Union
 
 from .errors import (
+    Frozen,
     MixedBackendError,
     UnboundVariableError,
     ZeroLinearCoefficientError,
@@ -408,7 +408,7 @@ class TruncPoly:
         return f"TruncPoly({self._order}, {self.render()!r})"
 
 
-Scalar = Union[Fraction, SurdRational, TruncPoly, Decimal]
+Scalar = Fraction | SurdRational | TruncPoly | Decimal
 
 
 # --------------------------------------------------------------------------
@@ -416,11 +416,11 @@ Scalar = Union[Fraction, SurdRational, TruncPoly, Decimal]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurdBackend:
+class SurdBackend(Frozen):
     """SurdRational scalars: the default exact backend for all series work."""
 
-    is_exact: ClassVar[bool] = True
+    __slots__ = ()
+    is_exact = True
 
     def arith(self):
         return nullcontext()
@@ -473,12 +473,14 @@ class SurdBackend:
         return "exact"
 
 
-@dataclass(frozen=True)
-class TruncPolyBackend:
+class TruncPolyBackend(Frozen):
     """TruncPoly scalars: polynomials in eps = q - 1 truncated at `order`."""
 
-    order: int
-    is_exact: ClassVar[bool] = True
+    __slots__ = ("order",)
+    is_exact = True
+
+    def __init__(self, order: int) -> None:
+        self._set(order)
 
     def arith(self):
         return nullcontext()
@@ -522,16 +524,16 @@ class TruncPolyBackend:
         return f"truncpoly[eps<={self.order}]"
 
 
-@dataclass(frozen=True)
-class DecimalBackend:
+class DecimalBackend(Frozen):
     """decimal.Decimal scalars at `digits` significant digits (+ guard digits)."""
 
-    digits: int = 50
-    is_exact: ClassVar[bool] = False
+    __slots__ = ("digits",)
+    is_exact = False
 
-    def __post_init__(self):
-        if self.digits < 1:
+    def __init__(self, digits: int = 50) -> None:
+        if digits < 1:
             raise ValueError("digit budget must be >= 1")
+        self._set(digits)
 
     @property
     def context(self) -> Context:
@@ -574,7 +576,7 @@ class DecimalBackend:
 
 SURD = SurdBackend()
 
-Backend = Union[SurdBackend, TruncPolyBackend, DecimalBackend]
+Backend = SurdBackend | TruncPolyBackend | DecimalBackend
 
 
 # --------------------------------------------------------------------------

@@ -23,10 +23,10 @@ NumberPoly: a value that compares, evaluates and renders, with no arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from .errors import Frozen
 from .exact import _signed_sum
 from .structfn import _stirling_rows
 
@@ -98,12 +98,13 @@ class NumberPoly:
         return f"NumberPoly({self.render()!r})"
 
 
-@dataclass(frozen=True)
-class HamiltonianSplit:
+class HamiltonianSplit(Frozen):
     """Ladder-average Hamiltonian as exact polynomials per power of eps."""
 
-    order: int
-    terms: tuple[NumberPoly, ...]
+    __slots__ = ("order", "terms")
+
+    def __init__(self, order: int, terms: tuple[NumberPoly, ...]) -> None:
+        self._set(order, terms)
 
     def term(self, i: int) -> NumberPoly:
         return self.terms[i]
@@ -130,8 +131,7 @@ def hamiltonian_split(order: int) -> HamiltonianSplit:
     return HamiltonianSplit(order=order, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class TwoParamSplit:
+class TwoParamSplit(Frozen):
     """Ladder average of the two-parameter deformation as a double expansion.
 
     terms[(i, j)] is the polynomial in N multiplying eps**i * mu**j.  The
@@ -139,9 +139,10 @@ class TwoParamSplit:
     ever nonzero; the (0, 0) entry is the free part N + 1/2.
     """
 
-    order_eps: int
-    order_mu: int
-    terms: dict[tuple[int, int], NumberPoly]
+    __slots__ = ("order_eps", "order_mu", "terms")
+
+    def __init__(self, order_eps: int, order_mu: int, terms: dict[tuple[int, int], NumberPoly]) -> None:
+        self._set(order_eps, order_mu, terms)
 
     def term(self, i: int, j: int) -> NumberPoly:
         return self.terms.get((i, j), NumberPoly())

@@ -36,9 +36,9 @@ on decimal:50 makes dots of 61,645 terms in all (78,409 without either).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
 
 from .errors import (
     MixedBackendError,

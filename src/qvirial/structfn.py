@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DescriptorError, UnsupportedBackendError
+from .errors import DescriptorError, Frozen, UnsupportedBackendError
 from .exact import (
     Backend,
     DecimalBackend,
@@ -79,12 +78,11 @@ def quadratic_number(mu: Fraction, n: int) -> Fraction:
     return (1 + mu) * n - mu * n * n
 
 
-@dataclass(frozen=True)
-class QBasic:
-    q: Fraction
+class QBasic(Frozen):
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, q: Fraction) -> None:
+        self._set(Fraction(q))
         if self.q == 1:
             raise ValueError("QBasic stores q != 1; the undeformed limit is Quadratic(0) or QuadraticOfQBasic(mu, 1)")
 
@@ -92,42 +90,35 @@ class QBasic:
         return f"q:{self.q}"
 
 
-@dataclass(frozen=True)
-class Quadratic:
-    mu: Fraction
+class Quadratic(Frozen):
+    __slots__ = ("mu",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
+    def __init__(self, mu: Fraction) -> None:
+        self._set(Fraction(mu))
 
     def describe(self) -> str:
         return f"mu:{self.mu}"
 
 
-@dataclass(frozen=True)
-class QuadraticOfQBasic:
+class QuadraticOfQBasic(Frozen):
     """Quadratic deformation applied on top of the basic number: phi_mu([n]_q)."""
 
-    mu: Fraction
-    q: Fraction
+    __slots__ = ("mu", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, mu: Fraction, q: Fraction) -> None:
+        self._set(Fraction(mu), Fraction(q))
 
     def describe(self) -> str:
         return f"mu-q:{self.mu},{self.q}"
 
 
-@dataclass(frozen=True)
-class QBasicOfQuadratic:
+class QBasicOfQuadratic(Frozen):
     """Basic number applied on top of the quadratic deformation: phi_q([n]_mu)."""
 
-    q: Fraction
-    mu: Fraction
+    __slots__ = ("q", "mu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+    def __init__(self, q: Fraction, mu: Fraction) -> None:
+        self._set(Fraction(q), Fraction(mu))
         if self.q == 1:
             raise ValueError("QBasicOfQuadratic stores q != 1; its q -> 1 limit is Quadratic(mu)")
         if self.q <= 0:
@@ -137,18 +128,13 @@ class QBasicOfQuadratic:
         return f"q-mu:{self.q},{self.mu}"
 
 
-@dataclass(frozen=True)
-class Interpolated:
+class Interpolated(Frozen):
     """Convex combination t*QuadraticOfQBasic + (1-t)*QBasicOfQuadratic."""
 
-    t: Fraction
-    mu: Fraction
-    q: Fraction
+    __slots__ = ("t", "mu", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "q", Fraction(self.q))
+    def __init__(self, t: Fraction, mu: Fraction, q: Fraction) -> None:
+        self._set(Fraction(t), Fraction(mu), Fraction(q))
         if self.q == 1:
             raise ValueError("Interpolated stores q != 1 (its QBasicOfQuadratic leg requires it)")
         if self.q <= 0:
@@ -158,15 +144,15 @@ class Interpolated:
         return f"t:{self.t};mu:{self.mu};q:{self.q}"
 
 
-@dataclass(frozen=True)
-class QBasicSeries:
+class QBasicSeries(Frozen):
     """[n]_q with q = 1 + eps, kept as a TruncPoly in eps up to `order`."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int) -> None:
+        if order < 0:
             raise ValueError("order must be nonnegative")
+        self._set(order)
 
     def describe(self) -> str:
         return f"q-eps:order={self.order}"
@@ -354,9 +340,10 @@ def parse_descriptor(text: str) -> StructureFunction:
             if key.strip() != "order":
                 raise DescriptorError("q-eps descriptor takes order=<int>")
             try:
-                return QBasicSeries(int(value))
+                order = int(value)
             except ValueError as exc:
                 raise DescriptorError(f"not an integer order: {value!r}") from exc
+            return QBasicSeries(order)
     except DescriptorError:
         raise
     except ValueError as exc:

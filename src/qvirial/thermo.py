@@ -21,10 +21,9 @@ where the reversion algebra forces +2*phi(3)**2/3**5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedOrderError
+from .errors import Frozen, UnsupportedOrderError
 from .exact import (
     Backend,
     SURD,
@@ -58,17 +57,15 @@ __all__ = [
 CLOSED_FORM_MAX_ORDER = 5
 
 
-@dataclass(frozen=True)
-class GasModel:
+class GasModel(Frozen):
     """A structure function, a truncation order, and a coefficient backend."""
 
-    sf: StructureFunction
-    order: int = 8
-    backend: Backend = SURD
+    __slots__ = ("sf", "order", "backend")
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, sf: StructureFunction, order: int = 8, backend: Backend = SURD) -> None:
+        if order < 2:
             raise ValueError("truncation order must be >= 2 (at least one nontrivial virial coefficient)")
+        self._set(sf, order, backend)
 
 
 def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
@@ -95,8 +92,7 @@ def fugacity_of_density(model: GasModel) -> PowerSeries:
     return revert(particle_series(model))
 
 
-@dataclass(frozen=True)
-class VirialTable:
+class VirialTable(Frozen):
     """Virial coefficients V_1..V_K with provenance and admissibility metadata.
 
     first_nonpositive_phi flags the smallest n with phi(n) <= 0 (the quadratic
@@ -104,14 +100,12 @@ class VirialTable:
     computed formally, physical admissibility being the caller's judgement.
     """
 
-    sf: StructureFunction
-    order: int
-    backend: Backend
-    values: tuple[Scalar, ...]
-    provenance: tuple[str, ...]
-    mu: Fraction | None = None
-    mu_unit_fraction: bool | None = None
-    first_nonpositive_phi: int | None = None
+    __slots__ = ("sf", "order", "backend", "values", "provenance", "mu", "mu_unit_fraction", "first_nonpositive_phi")
+
+    def __init__(self, sf: StructureFunction, order: int, backend: Backend, values: tuple[Scalar, ...],
+                 provenance: tuple[str, ...], mu: Fraction | None = None, mu_unit_fraction: bool | None = None,
+                 first_nonpositive_phi: int | None = None) -> None:
+        self._set(sf, order, backend, values, provenance, mu, mu_unit_fraction, first_nonpositive_phi)
 
     def coefficient(self, k: int) -> Scalar:
         if not 1 <= k <= self.order:

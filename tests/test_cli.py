@@ -194,6 +194,21 @@ def test_python_m_entry_matches_main(capsys, monkeypatch, argv):
     assert (done.returncode, done.stdout, done.stderr) == outcome(capsys, main, argv)
 
 
+def test_start_up_imports_every_module_and_no_code_generators():
+    # a fresh interpreter's set-up, as every CLI job pays it: no module waits
+    # for a handler to import it, and none pulls in dataclasses, inspect or
+    # typing (their import and generated methods were a sixth of the set-up)
+    package = Path(cli.__file__).resolve().parent
+    code = "import sys, qvirial.cli; qvirial.cli.build_parser(); print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(package.parent)), timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+    submodules = {f"qvirial.{path.stem}" for path in package.glob("*.py") if path.stem not in ("__init__", "__main__")}
+    assert submodules and submodules <= loaded
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code = main(["virial", "--sf", "mu:1/2", "--K", "3", "--format", "csv", "--out", str(target)])
@@ -290,6 +305,11 @@ def test_sweep_bounds_follow_descriptor_grammar():
     # bounds are rationals like descriptor parameters: decimals are rejected
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0.1:0.5:0.1"]) == 2
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0:1:1/0"]) == 2
+
+
+def test_negative_q_eps_order_names_its_cause(capsys):
+    code, out, err = run_cli(capsys, "virial", "--sf", "q-eps:order=-1", "--K", "3")
+    assert (code, out, err) == (2, "", "qvirial: error: order must be nonnegative\n")
 
 
 def test_sweep_point_rejected_by_model_is_usage_error(capsys):

@@ -446,3 +446,58 @@ def test_gibbs_duhem_reads_the_table_off_ln_of_z_over_x(descriptor, backend):
     table = virial_coefficients(model)
     for k in range(2, 11):
         assert table.coefficient(k) == log[k - 1] * frac(k - 1, k), k
+
+
+# -- the identities at K=14: exact, and on decimal:50 within the digit budget --------
+# Only well-conditioned models: each of these tables uses under 1e-10 of the
+# budget |err| <= 10**-D * max(1, |V_k|) against the exact table.
+
+
+DEEP_BACKENDS = pytest.mark.parametrize("backend", [SURD, DEC50], ids=["exact", "decimal:50"])
+
+
+def agree(value, reference, backend, size=None):
+    """value == reference on an exact backend; on the decimal one within
+    10**-D * size, where size defaults to max(1, |reference|)."""
+    if backend.is_exact:
+        return value == reference
+    size = max(1, abs(reference)) if size is None else size
+    return abs(value - reference) <= Decimal(10) ** -backend.digits * size
+
+
+@DEEP_BACKENDS
+@pytest.mark.parametrize("q", [frac(5, 3), frac(-2, 7), frac(3)])
+def test_inverting_q_scales_v_k_at_k14(q, backend):
+    table = virial_coefficients(GasModel(QBasic(q), order=14, backend=backend))
+    inverse = virial_coefficients(GasModel(QBasic(1 / q), order=14, backend=backend))
+    with backend.arith():
+        for k in range(1, 15):
+            expected = backend.from_fraction(q ** (1 - k)) * table.coefficient(k)
+            assert agree(inverse.coefficient(k), expected, backend), k
+
+
+@DEEP_BACKENDS
+@pytest.mark.parametrize("model", [Quadratic, lambda mu: QuadraticOfQBasic(mu, frac(3, 2))], ids=["mu", "mu-q"])
+def test_kth_finite_difference_in_mu_vanishes_at_k14(model, backend):
+    tables = [virial_coefficients(GasModel(model(frac(j, 3)), order=14, backend=backend)) for j in range(15)]
+    with backend.arith():
+        for k in range(1, 15):
+            values = [tables[j].coefficient(k) for j in range(k + 1)]
+            difference = sum(((-1) ** (k - j) * math.comb(k, j) * v for j, v in enumerate(values)), backend.zero)
+            # each V_k(mu_j) carries its own budget, so the difference carries their weighted sum
+            size = None if backend.is_exact else sum(math.comb(k, j) * max(1, abs(v)) for j, v in enumerate(values))
+            assert agree(difference, backend.zero, backend, size), k
+
+
+@DEEP_BACKENDS
+@pytest.mark.parametrize("descriptor", ["mu-q:1/3,7/5", "q:-2/7", "mu:2/5"])
+def test_gibbs_duhem_reads_the_table_off_ln_of_z_over_x_at_k14(descriptor, backend):
+    model = GasModel(parse_descriptor(descriptor), order=14, backend=backend)
+    u = fugacity_of_density(model).coeffs[1:]
+    table = virial_coefficients(model)
+    with backend.arith():
+        log = [backend.zero]
+        for m in range(1, len(u)):
+            log.append(u[m] - sum((i * log[i] * u[m - i] for i in range(1, m)), backend.zero) / m)
+        for k in range(2, 15):
+            assert agree(table.coefficient(k), log[k - 1] * backend.from_fraction(frac(k - 1, k)), backend), k
