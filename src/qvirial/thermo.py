@@ -10,6 +10,10 @@ constants appear.  For a structure function phi and fugacity z:
   fugacity of density z(x) = reversion of x(z)
   virial expansion         = pressure(z(x)) / x = sum_k V_k x**(k-1)
 
+The engine reverts x(z) only to order n = ceil(K/2), as h, and composes once:
+V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K since
+z(x) - h lies in x**(n+1): Taylor and one Newton step give pressure(z(x)) = Q - x*Q' + x*L.
+
 Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) come from Lagrange
 inversion: with x = z*a(z), V_k = [z**(k-1)] a(z)**(1-k) / k, the power taken
 by J. C. P. Miller's recurrence with ring operators only, so they share no code
@@ -129,17 +133,29 @@ def _first_nonpositive_phi(model: GasModel) -> int | None:
 
 
 def virial_coefficients(model: GasModel) -> VirialTable:
-    """Engine virial table: compose the pressure series with z(x) and read off
-    the coefficients of x**(k-1) (after dividing once by x).  Both come from
-    one density series x(z)."""
+    """Engine virial table: revert x(z) to order n = ceil(K/2) only, as h, and
+    compose the pressure P with it once; V_k = L_(k-1) - (k-1)*Q_k with Q = P(h),
+    L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
+    Q + P'(h)*d, and P'(h) = x(h)/h = Q'/h' with Newton's d = -(x(h) - x)/x'(h)
+    gives Q - x*Q' + x*L.  L_m = ((m+1)*u_m - sum_{i>=1} u_i*L_(m-i)) / u_0, u = h/x."""
     x = particle_series(model)
-    expansion = compose(euler_inverse(x), revert(x))
-    assert not expansion.coeffs[0]
+    backend, k, n = model.backend, model.order, (model.order + 1) // 2
+    h = revert(PowerSeries(x.var, backend, x.coeffs[:n + 1]))
+    pad = (backend.zero,) * (k - n)
+    q = compose(euler_inverse(x), PowerSeries(h.var, backend, h.coeffs + pad)).coeffs
+    with backend.arith():
+        # u_0 = 1/c_1, so L_m = -c_1 * dot([u_m, u_1, .., u_t], [-(m+1), L_(m-1), .., L_(m-t)]), t = min(m, n-1)
+        u, minus_c1, logd = h.coeffs[1:] + pad, -x.coeffs[1], [backend.one]
+        for m in range(1, k):
+            t = min(m, n - 1)
+            ys = [backend.from_ratio(-m - 1, 1)] + logd[m - t:][::-1]
+            logd.append(backend.dot((u[m],) + u[1:t + 1], ys) * minus_c1)
+        values = tuple(logd[j] - j * q[j + 1] for j in range(k))
     return VirialTable(
         sf=model.sf,
         order=model.order,
         backend=model.backend,
-        values=tuple(expansion.coeffs[1:]),
+        values=values,
         provenance=("engine",) * model.order,
         mu=mu_parameter(model.sf),
         mu_unit_fraction=is_unit_fraction_mu(model.sf),

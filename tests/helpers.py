@@ -1,8 +1,9 @@
 """Shared test utilities: independent decimal oracles, comparison helpers, the
 identity series, operator-per-term references for series products, reversion
 and composition (Horner), a Fraction-per-term reference for the surd ring, a
-Lagrange-Buermann virial oracle on it, and Fraction-list references for the
-ladder splits, the rational structure functions and polynomial evaluation."""
+Lagrange-Buermann virial oracle on it, a hypothesis strategy for one-radicand
+surds, and Fraction-list references for the ladder splits, the rational
+structure functions and polynomial evaluation."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -10,12 +11,15 @@ from itertools import zip_longest
 import math
 import random
 
+from hypothesis import strategies as st
+
 from qvirial import (
     PowerSeries,
     QBasic,
     Quadratic,
     QuadraticOfQBasic,
     SURD,
+    SurdRational,
     radical_normalize,
 )
 
@@ -52,6 +56,11 @@ def rand_positive_q(rng: random.Random, max_den: int = 12) -> Fraction:
         q = Fraction(num, den)
         if q != 1:
             return q
+
+
+surd_coeff_st = st.fractions(min_value=-2, max_value=2, max_denominator=6).flatmap(
+    lambda c: st.sampled_from([1, 2, 3, 5]).map(lambda r: SurdRational({r: c}))
+)
 
 
 def identity_series(var: str, order: int) -> PowerSeries:

@@ -50,9 +50,11 @@ def traced(argv, tmp_path) -> dict:
     ["virial", "--sf", "mu:1/5", "--K", "6"],
     ["virial", "--sf", "q-mu:3/2,1/7", "--K", "10", "--backend", "decimal:20"],
     ["virial", "--sf", "q-eps:order=3", "--K", "5"],
-    # above order 16, revert runs Newton steps on compose and PowerSeries products
+    # K=20 reverts x(z) to order 10 only, by the direct solve
     ["virial", "--sf", "q-mu:3/2,1/7", "--K", "20", "--backend", "decimal:20"],
-], ids=["exact", "decimal", "truncpoly", "decimal-newton"])
+    # from K=33 the half-order reversion (past order 16) runs Newton steps
+    ["virial", "--sf", "q-mu:3/2,1/7", "--K", "40", "--backend", "decimal:20"],
+], ids=["exact", "decimal", "truncpoly", "decimal-k20", "decimal-newton"])
 def test_declared_layer_metrics_present(argv, tmp_path):
     result = traced(argv, tmp_path)
     assert result["code"] == 0

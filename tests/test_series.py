@@ -29,7 +29,7 @@ from qvirial import (
     revert,
 )
 
-from helpers import convolve, horner_compose, identity_series, loop_revert, rand_fraction
+from helpers import convolve, horner_compose, identity_series, loop_revert, rand_fraction, surd_coeff_st
 
 
 def surd_series(coeffs, var="z"):
@@ -141,11 +141,6 @@ def test_revert_requires_invertible_linear_term():
         revert(surd_series([1, 1]))
     with pytest.raises(ZeroLinearCoefficientError):
         revert(surd_series([0, SurdRational.sqrt_int(2), 1]))
-
-
-surd_coeff_st = st.fractions(min_value=-2, max_value=2, max_denominator=6).flatmap(
-    lambda c: st.sampled_from([1, 2, 3, 5]).map(lambda r: SurdRational({r: c}))
-)
 
 
 @given(st.lists(surd_coeff_st, min_size=3, max_size=7))

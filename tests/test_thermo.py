@@ -5,6 +5,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from qvirial import (
     DecimalBackend,
     GasModel,
     Interpolated,
+    PowerSeries,
     QBasic,
     QBasicOfQuadratic,
     QBasicSeries,
@@ -48,6 +50,7 @@ from helpers import (
     rand_fraction,
     rand_positive_q,
     sig_agree,
+    surd_coeff_st,
 )
 
 DEC50 = DecimalBackend(50)
@@ -303,11 +306,16 @@ def test_decimal_backend_meets_its_digit_budget(exact_budget_table, digits):
         assert abs(a - e) < Decimal(10) ** -digits, k
 
 
-@pytest.mark.parametrize("descriptor, order", [("q-mu:3/2,1/7", 80), ("t:1/2;mu:1/7;q:3/2", 70)])
-def test_decimal_backend_meets_its_digit_budget_at_bench_scale(descriptor, order, monkeypatch):
+@pytest.mark.parametrize("descriptor, order, digits", [
+    pytest.param("q-mu:3/2,1/7", 80, 200, id="q-mu:3/2,1/7-80"),
+    pytest.param("t:1/2;mu:1/7;q:3/2", 70, 200, id="t:1/2;mu:1/7;q:3/2-70"),
+    pytest.param("q-mu:3/2,1/7", 80, 50, id="q-mu:3/2,1/7-80-decimal:50"),
+    pytest.param("t:1/2;mu:1/7;q:3/2", 70, 100, id="t:1/2;mu:1/7;q:3/2-70-decimal:100"),
+])
+def test_decimal_backend_meets_its_digit_budget_at_bench_scale(descriptor, order, digits, monkeypatch):
     # the reference runs revert's per-term power table and Horner's rule 150
     # digits higher; the bound is relative, since |V_k| reaches 1e15 here
-    sf, digits = parse_descriptor(descriptor), 200
+    sf = parse_descriptor(descriptor)
     approx = virial_coefficients(GasModel(sf, order=order, backend=DecimalBackend(digits)))
     monkeypatch.setattr(thermo, "revert", loop_revert)
     monkeypatch.setattr(thermo, "compose", horner_compose)
@@ -317,8 +325,9 @@ def test_decimal_backend_meets_its_digit_budget_at_bench_scale(descriptor, order
 
 
 def test_decimal_pipeline_dot_work(monkeypatch):
-    # total length of the backend dot products of one K=80 table: squared baby
-    # powers and products cut to both factors' nonzero spans (78,409 without)
+    # total length of the backend dot products of one K=80 table: a half-order
+    # reversion, squared baby powers and products cut to both factors' nonzero
+    # spans (61,645 with a full-order reversion, 78,409 also without the cuts)
     lengths = []
     dot = DecimalBackend.dot
     monkeypatch.setattr(
@@ -326,7 +335,7 @@ def test_decimal_pipeline_dot_work(monkeypatch):
     )
     sf = QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 7))
     virial_coefficients(GasModel(sf, order=80, backend=DecimalBackend(50)))
-    assert sum(lengths) <= 65_000
+    assert sum(lengths) <= 36_000
 
 
 # -- second-virial deviation -----------------------------------------------------
@@ -404,6 +413,38 @@ def test_engine_matches_the_lagrange_buermann_oracle(descriptor, order):
     sf = parse_descriptor(descriptor)
     table = virial_coefficients(GasModel(sf, order=order, backend=SURD))
     assert [FractionSurd(v.terms) for v in table.values] == lagrange_virials(sf, order)
+
+
+# -- half-order reversion: the table equals P(z(x)) / x exactly ------------------------
+
+
+def full_reversion_table(x):
+    """V_1..V_K as [x**k] P(z(x)) with z(x) reverted to the full order K."""
+    return series.compose(series.euler_inverse(x), series.revert(x)).coeffs[1:]
+
+
+@given(
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=5)),
+    st.sampled_from(range(2, 25)).flatmap(lambda k: st.lists(surd_coeff_st, min_size=k - 1, max_size=k - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_half_order_reversion_table_equals_the_full_composition(c1, tail):
+    # any density series with a rational c_1 != 0, at even and odd K up to 24
+    x = PowerSeries("z", SURD, [SURD.zero, c1] + tail)
+    with mock.patch.object(thermo, "particle_series", lambda model: x):
+        table = virial_coefficients(GasModel(UNDEFORMED, order=x.order, backend=SURD))
+    assert table.values == full_reversion_table(x)
+
+
+@pytest.mark.parametrize(
+    "descriptor, order, backend",
+    # at K=34 the half-order reversion (n = 17) itself takes a Newton step
+    [("mu-q:1/3,7/5", 34, SURD), ("q-eps:order=2", 12, TruncPolyBackend(2))],
+    ids=["mu-q-34", "q-eps-12"],
+)
+def test_half_order_reversion_table_equals_the_full_composition_on_models(descriptor, order, backend):
+    model = GasModel(parse_descriptor(descriptor), order=order, backend=backend)
+    assert virial_coefficients(model).values == full_reversion_table(particle_series(model))
 
 
 # -- metamorphic identities of the engine ------------------------------------------
