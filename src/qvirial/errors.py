@@ -1,5 +1,16 @@
 """Exception types shared across the package, and its immutable-record base."""
 
+__all__ = [
+    "QVirialError",
+    "MixedBackendError",
+    "UnsupportedBackendError",
+    "NonzeroConstantTermError",
+    "ZeroLinearCoefficientError",
+    "UnsupportedOrderError",
+    "UnboundVariableError",
+    "DescriptorError",
+]
+
 
 class QVirialError(Exception):
     """Base class for all package-specific errors."""

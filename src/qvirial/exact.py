@@ -48,7 +48,6 @@ __all__ = [
     "half_power",
     "SurdRational",
     "TruncPoly",
-    "Scalar",
     "SurdBackend",
     "TruncPolyBackend",
     "DecimalBackend",
@@ -141,10 +140,6 @@ class SurdRational:
     def from_fraction(cls, value: Fraction | int) -> "SurdRational":
         n, d = Fraction(value).as_integer_ratio()
         return _surd({1: n}, d)
-
-    @classmethod
-    def sqrt_int(cls, n: int) -> "SurdRational":
-        return cls({n: 1})
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -259,17 +254,6 @@ class SurdRational:
 
     def __repr__(self) -> str:
         return f"SurdRational({self.render()!r})"
-
-    def decimal_value(self, prec: int) -> Decimal:
-        """Approximate value at the given working precision (not a rounding contract)."""
-        with localcontext(Context(prec=prec)):
-            total = Decimal(0)
-            for r, c in self.terms.items():
-                term = Decimal(c.numerator) / Decimal(c.denominator)
-                if r != 1:
-                    term *= Decimal(r).sqrt()
-                total += term
-            return +total
 
 
 class TruncPoly:
@@ -416,14 +400,27 @@ Scalar = Fraction | SurdRational | TruncPoly | Decimal
 # --------------------------------------------------------------------------
 
 
-class SurdBackend(Frozen):
+class _Backend(Frozen):
+    """What every backend shares: no arithmetic context, rationals through
+    `from_ratio`, and `dot` as the left-to-right operator sum."""
+
+    __slots__ = ()
+
+    def arith(self):
+        return nullcontext()
+
+    def from_fraction(self, value):
+        return self.from_ratio(*Fraction(value).as_integer_ratio())
+
+    def dot(self, xs, ys):
+        return sum(starmap(operator.mul, zip(xs, ys, strict=True)), self.zero)
+
+
+class SurdBackend(_Backend):
     """SurdRational scalars: the default exact backend for all series work."""
 
     __slots__ = ()
     is_exact = True
-
-    def arith(self):
-        return nullcontext()
 
     @property
     def zero(self) -> SurdRational:
@@ -435,9 +432,6 @@ class SurdBackend(Frozen):
 
     def from_ratio(self, num: int, den: int) -> SurdRational:
         return _surd({1: num}, den)
-
-    def from_fraction(self, value) -> SurdRational:
-        return self.from_ratio(*Fraction(value).as_integer_ratio())
 
     def half_power(self, n: int, k: int) -> SurdRational:
         return half_power(n, k)
@@ -473,7 +467,7 @@ class SurdBackend(Frozen):
         return "exact"
 
 
-class TruncPolyBackend(Frozen):
+class TruncPolyBackend(_Backend):
     """TruncPoly scalars: polynomials in eps = q - 1 truncated at `order`."""
 
     __slots__ = ("order",)
@@ -481,9 +475,6 @@ class TruncPolyBackend(Frozen):
 
     def __init__(self, order: int) -> None:
         self._set(order)
-
-    def arith(self):
-        return nullcontext()
 
     @property
     def zero(self) -> TruncPoly:
@@ -495,9 +486,6 @@ class TruncPolyBackend(Frozen):
 
     def from_ratio(self, num: int, den: int) -> TruncPoly:
         return self.from_surd(SURD.from_ratio(num, den))
-
-    def from_fraction(self, value) -> TruncPoly:
-        return self.from_ratio(*Fraction(value).as_integer_ratio())
 
     def from_surd(self, value: SurdRational) -> TruncPoly:
         return TruncPoly(self.order, {0: value})
@@ -517,14 +505,11 @@ class TruncPolyBackend(Frozen):
             )
         return self.from_fraction(Fraction(1) / const.rational_part())
 
-    def dot(self, xs, ys) -> TruncPoly:
-        return sum(starmap(operator.mul, zip(xs, ys, strict=True)), self.zero)
-
     def describe(self) -> str:
         return f"truncpoly[eps<={self.order}]"
 
 
-class DecimalBackend(Frozen):
+class DecimalBackend(_Backend):
     """decimal.Decimal scalars at `digits` significant digits (+ guard digits)."""
 
     __slots__ = ("digits",)
@@ -554,9 +539,6 @@ class DecimalBackend(Frozen):
         with self.arith():
             return Decimal(num) / Decimal(den)
 
-    def from_fraction(self, value) -> Decimal:
-        return self.from_ratio(*Fraction(value).as_integer_ratio())
-
     def half_power(self, n: int, k: int) -> Decimal:
         with self.arith():
             return Decimal(n).sqrt() / Decimal(n) ** ((k + 1) // 2)
@@ -566,9 +548,6 @@ class DecimalBackend(Frozen):
             raise ZeroLinearCoefficientError("cannot invert zero")
         with self.arith():
             return Decimal(1) / scalar
-
-    def dot(self, xs, ys) -> Decimal:
-        return sum(starmap(operator.mul, zip(xs, ys, strict=True)), self.zero)
 
     def describe(self) -> str:
         return f"decimal:{self.digits}"

@@ -60,10 +60,6 @@ class NumberPoly:
         out.coeffs = tuple(Fraction(c, den) for c in nums)
         return out
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = NumberPoly([other])
@@ -109,11 +105,6 @@ class HamiltonianSplit(Frozen):
     def term(self, i: int) -> NumberPoly:
         return self.terms[i]
 
-    def evaluate(self, n, eps) -> Fraction:
-        """sum_i eps**i * term_i(n) for rational eps and (usually integer) n."""
-        eps = Fraction(eps)
-        return sum((eps**i * poly(n) for i, poly in enumerate(self.terms)), Fraction(0))
-
 
 def hamiltonian_split(order: int) -> HamiltonianSplit:
     """Split ([N+1]_q + [N]_q)/2, q = 1 + eps, into polynomials per eps power.
@@ -146,10 +137,6 @@ class TwoParamSplit(Frozen):
 
     def term(self, i: int, j: int) -> NumberPoly:
         return self.terms.get((i, j), NumberPoly())
-
-    def evaluate(self, n, eps, mu) -> Fraction:
-        eps, mu = Fraction(eps), Fraction(mu)
-        return sum((eps**i * mu**j * poly(n) for (i, j), poly in self.terms.items()), Fraction(0))
 
 
 def two_param_split(order_eps: int, order_mu: int) -> TwoParamSplit:

@@ -44,7 +44,6 @@ from .exact import (
 )
 
 __all__ = [
-    "StructureFunction",
     "QBasic",
     "Quadratic",
     "QuadraticOfQBasic",
@@ -59,8 +58,6 @@ __all__ = [
     "monomial_expansion",
     "stirling_first",
     "parse_descriptor",
-    "mu_parameter",
-    "is_unit_fraction_mu",
 ]
 
 
@@ -310,6 +307,8 @@ def parse_descriptor(text: str) -> StructureFunction:
             key, _, value = part.partition(":")
             if not value:
                 raise DescriptorError(f"malformed descriptor part {part!r}")
+            if key.strip() in fields:
+                raise DescriptorError(f"t-descriptor repeats the {key.strip()}: part")
             fields[key.strip()] = value.strip()
         if set(fields) != {"t", "mu", "q"}:
             raise DescriptorError("t-descriptor needs exactly t:, mu:, q: parts")

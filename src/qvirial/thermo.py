@@ -55,7 +55,6 @@ __all__ = [
     "virial_coefficients",
     "closed_form_virial",
     "second_virial_deviation",
-    "CLOSED_FORM_MAX_ORDER",
 ]
 
 CLOSED_FORM_MAX_ORDER = 5
@@ -97,19 +96,19 @@ def fugacity_of_density(model: GasModel) -> PowerSeries:
 
 
 class VirialTable(Frozen):
-    """Virial coefficients V_1..V_K with provenance and admissibility metadata.
+    """Virial coefficients V_1..V_K of the engine, with admissibility metadata.
 
     first_nonpositive_phi flags the smallest n with phi(n) <= 0 (the quadratic
     deformation at mu = 1/m cuts the spectrum at n = m+1); the series is still
     computed formally, physical admissibility being the caller's judgement.
     """
 
-    __slots__ = ("sf", "order", "backend", "values", "provenance", "mu", "mu_unit_fraction", "first_nonpositive_phi")
+    __slots__ = ("sf", "order", "backend", "values", "mu", "mu_unit_fraction", "first_nonpositive_phi")
 
     def __init__(self, sf: StructureFunction, order: int, backend: Backend, values: tuple[Scalar, ...],
-                 provenance: tuple[str, ...], mu: Fraction | None = None, mu_unit_fraction: bool | None = None,
+                 mu: Fraction | None = None, mu_unit_fraction: bool | None = None,
                  first_nonpositive_phi: int | None = None) -> None:
-        self._set(sf, order, backend, values, provenance, mu, mu_unit_fraction, first_nonpositive_phi)
+        self._set(sf, order, backend, values, mu, mu_unit_fraction, first_nonpositive_phi)
 
     def coefficient(self, k: int) -> Scalar:
         if not 1 <= k <= self.order:
@@ -156,7 +155,6 @@ def virial_coefficients(model: GasModel) -> VirialTable:
         order=model.order,
         backend=model.backend,
         values=values,
-        provenance=("engine",) * model.order,
         mu=mu_parameter(model.sf),
         mu_unit_fraction=is_unit_fraction_mu(model.sf),
         first_nonpositive_phi=_first_nonpositive_phi(model),

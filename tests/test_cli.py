@@ -94,6 +94,7 @@ def test_exit_codes():
     assert main(["virial", "--sf", "frob:1", "--K", "3"]) == 2
     assert main(["virial", "--sf", "mu:0.5", "--K", "3"]) == 2
     assert main(["virial", "--sf", "mu:0", "--K", "1"]) == 2
+    assert main(["virial", "--sf", "t:1/2;t:1;mu:1/4;q:3/2", "--K", "3"]) == 2
     assert main(["virial", "--sf", "q-mu:3/2,1/4", "--backend", "exact", "--K", "3"]) == 3
     assert main(["virial", "--sf", "q-eps:order=3", "--backend", "decimal:20", "--K", "3"]) == 3
 

@@ -90,12 +90,12 @@ def test_half_power_rejects_even_or_nonpositive_k():
 
 
 def test_sqrt_two_squared():
-    root2 = SurdRational.sqrt_int(2)
+    root2 = SurdRational({2: 1})
     assert root2 * root2 == SurdRational.from_fraction(2)
 
 
 def test_difference_of_squares():
-    root2, root3 = SurdRational.sqrt_int(2), SurdRational.sqrt_int(3)
+    root2, root3 = SurdRational({2: 1}), SurdRational({3: 1})
     product = (root2 + root3) * (root2 - root3)
     assert product == SurdRational.from_fraction(-1)
     # decimal cross-check of the factors themselves
@@ -105,9 +105,9 @@ def test_difference_of_squares():
 
 
 def test_radicand_product_normalizes():
-    root6 = SurdRational.sqrt_int(2) * SurdRational.sqrt_int(3)
-    assert root6 == SurdRational.sqrt_int(6)
-    root12 = SurdRational.sqrt_int(6) * SurdRational.sqrt_int(2)
+    root6 = SurdRational({2: 1}) * SurdRational({3: 1})
+    assert root6 == SurdRational({6: 1})
+    root12 = SurdRational({6: 1}) * SurdRational({2: 1})
     assert root12 == SurdRational({3: 2})  # sqrt(12) = 2*sqrt(3)
 
 
@@ -118,13 +118,13 @@ def test_constructor_normalizes_radicands_and_drops_zeros():
 
 
 def test_division_by_rational_and_zero():
-    root2 = SurdRational.sqrt_int(2)
+    root2 = SurdRational({2: 1})
     assert root2 / Fraction(2) == SurdRational({2: Fraction(1, 2)})
     assert root2 / 2 == SurdRational({2: Fraction(1, 2)})
     with pytest.raises(ZeroDivisionError):
         root2 / 0
     with pytest.raises(ValueError):
-        root2 / SurdRational.sqrt_int(3)  # general surd inversion is out of scope
+        root2 / SurdRational({3: 1})  # general surd inversion is out of scope
 
 
 def test_truncpoly_division_by_a_rational():
@@ -145,14 +145,14 @@ def test_truncpoly_division_by_a_rational():
             with pytest.raises(MixedBackendError):
                 p / other
         with pytest.raises(ValueError):
-            p / SurdRational.sqrt_int(2)
+            p / SurdRational({2: 1})
 
 
 def test_mixed_backend_rejected():
     with pytest.raises(MixedBackendError):
-        SurdRational.sqrt_int(2) + Decimal("1.5")
+        SurdRational({2: 1}) + Decimal("1.5")
     with pytest.raises(MixedBackendError):
-        SurdRational.sqrt_int(2) * TruncPoly(2, {1: 1})
+        SurdRational({2: 1}) * TruncPoly(2, {1: 1})
 
 
 def test_hash_agrees_with_eq():
@@ -176,7 +176,7 @@ def test_rational_part_accessors():
     assert value.is_rational()
     assert value.rational_part() == Fraction(-7, 3)
     with pytest.raises(ValueError):
-        SurdRational.sqrt_int(2).rational_part()
+        SurdRational({2: 1}).rational_part()
 
 
 # -- rendering ---------------------------------------------------------------

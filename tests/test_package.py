@@ -1,0 +1,57 @@
+"""The package's shape: one public surface, built from the modules' own
+export lists, and a source size kept within the ROADMAP's line budget."""
+
+from pathlib import Path
+
+import pytest
+
+import qvirial
+from qvirial import errors, exact, perturb, series, structfn, thermo
+
+SRC = Path(qvirial.__file__).resolve().parent
+
+# ROADMAP.md: src/qvirial stays within 2,450 lines (wc -l src/qvirial/*.py).
+LOC_BUDGET = 2450
+
+PUBLIC = [
+    "DecimalBackend", "DescriptorError", "GasModel", "HamiltonianSplit", "Interpolated",
+    "MixedBackendError", "NonzeroConstantTermError", "NumberPoly", "PowerSeries", "QBasic",
+    "QBasicOfQuadratic", "QBasicSeries", "QVirialError", "Quadratic", "QuadraticOfQBasic",
+    "SURD", "SurdBackend", "SurdRational", "TruncPoly", "TruncPolyBackend", "TwoParamSplit",
+    "UNDEFORMED", "UnboundVariableError", "UnsupportedBackendError", "UnsupportedOrderError",
+    "VirialTable", "ZeroLinearCoefficientError", "__version__", "basic_number",
+    "closed_form_virial", "compose", "euler_inverse", "eval_eps", "eval_structure",
+    "fugacity_of_density", "half_power", "hamiltonian_split", "jackson_apply",
+    "log_partition_series", "monomial_expansion", "parse_descriptor", "particle_series",
+    "pressure_series", "quadratic_number", "radical_normalize", "revert",
+    "second_virial_deviation", "stirling_first", "to_decimal", "two_param_split",
+    "virial_coefficients",
+]
+
+
+def test_package_surface_is_pinned():
+    assert len(PUBLIC) == 51
+    assert sorted(qvirial.__all__) == PUBLIC
+    assert len(set(qvirial.__all__)) == len(qvirial.__all__)
+    for name in qvirial.__all__:
+        assert hasattr(qvirial, name), name
+
+
+@pytest.mark.parametrize("module", [errors, exact, perturb, series, structfn, thermo],
+                         ids=lambda module: module.__name__)
+def test_module_exports_exist(module):
+    for name in module.__all__:
+        assert hasattr(module, name), (module.__name__, name)
+        assert getattr(qvirial, name) is getattr(module, name), name
+
+
+def test_errors_exports_exactly_the_exception_classes():
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.QVirialError)}
+    assert sorted(errors.__all__) == sorted(classes)
+    assert len(classes) == 8
+
+
+def test_source_is_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= LOC_BUDGET, f"src/qvirial is {lines} lines, over the {LOC_BUDGET}-line budget"

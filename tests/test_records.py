@@ -47,7 +47,7 @@ def records():
         (virial_coefficients(GasModel(sf, order=3)),
          "VirialTable(sf=QBasic(q=Fraction(3, 2)), order=3, backend=SurdBackend(), values=(SurdRational('1'), "
          "SurdRational('-5/32*sqrt(2)'), SurdRational('25/128 - 19/162*sqrt(3)')), "
-         "provenance=('engine', 'engine', 'engine'), mu=None, mu_unit_fraction=None, first_nonpositive_phi=None)"),
+         "mu=None, mu_unit_fraction=None, first_nonpositive_phi=None)"),
     ]
 
 

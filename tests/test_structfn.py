@@ -364,9 +364,12 @@ def test_parse_descriptor_round_trips():
 
 
 def test_parse_descriptor_rejects_garbage():
-    for bad in ["", "frob:1", "q:", "mu-q:1/4", "t:1;mu:2", "q:1.5", "q-eps:order=x", "q:1"]:
+    for bad in ["", "frob:1", "q:", "mu-q:1/4", "t:1;mu:2", "q:1.5", "q-eps:order=x", "q:1",
+                "t:1/2;t:1;mu:1/4;q:3/2"]:
         with pytest.raises(DescriptorError):
             parse_descriptor(bad)
+    with pytest.raises(DescriptorError, match="repeats the mu: part"):
+        parse_descriptor("t:1;mu:1/4;q:3/2; mu :1/3")
 
 
 def test_undeformed_constant():
