@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import QVirialError, UnboundVariableError, UnsupportedBackendError
+from .errors import DescriptorError, UnsupportedBackendError
 from .exact import (
     Backend,
     DecimalBackend,
@@ -31,7 +31,6 @@ from .perturb import hamiltonian_split, two_param_split
 from .series import PowerSeries
 from .structfn import (
     Interpolated,
-    QBasic,
     QBasicOfQuadratic,
     QBasicSeries,
     Quadratic,
@@ -259,15 +258,6 @@ def cmd_hamiltonian(args) -> tuple[str, int]:
     return _format_table(args.format, meta, columns, rows), 0
 
 
-_SWEEPABLE = {
-    QBasic: ("q",),
-    Quadratic: ("mu",),
-    QuadraticOfQBasic: ("mu", "q"),
-    QBasicOfQuadratic: ("mu", "q"),
-    Interpolated: ("t", "mu", "q"),
-}
-
-
 def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
     head, sep, spec = text.partition("=")
     parts = spec.split(":")
@@ -288,7 +278,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     if not args.sweep:
         raise UsageError("sweep needs at least one --sweep <param>=<a>:<b>:<step>")
     sf = parse_descriptor(args.sf)
-    allowed = _SWEEPABLE.get(type(sf), ())
+    allowed = () if isinstance(sf, QBasicSeries) else sf.__slots__
     if not allowed:
         raise UsageError(f"{sf.describe()} has no sweepable parameters")
     sweeps = [_parse_sweep_flag(text) for text in args.sweep]
@@ -391,22 +381,14 @@ def _check_closed_forms() -> bool:
 
 
 def _check_t_family_endpoints() -> bool:
-    from decimal import Decimal
-
     backend = DecimalBackend(50)
     mu, q = Fraction(1, 4), Fraction(3, 2)
-    tol = Decimal(10) ** -40
-    t1 = virial_coefficients(GasModel(Interpolated(Fraction(1), mu, q), order=5, backend=backend))
-    direct = virial_coefficients(GasModel(QuadraticOfQBasic(mu, q), order=5, backend=backend))
-    t0 = virial_coefficients(GasModel(Interpolated(Fraction(0), mu, q), order=5, backend=backend))
-    swapped = virial_coefficients(GasModel(QBasicOfQuadratic(q, mu), order=5, backend=backend))
-    for k in range(1, 6):
-        scale = max(abs(t1.coefficient(k)), abs(direct.coefficient(k)), Decimal(1))
-        if abs(t1.coefficient(k) - direct.coefficient(k)) > scale * tol:
-            return False
-        scale = max(abs(t0.coefficient(k)), abs(swapped.coefficient(k)), Decimal(1))
-        if abs(t0.coefficient(k) - swapped.coefficient(k)) > scale * tol:
-            return False
+    for pair in ((Interpolated(1, mu, q), QuadraticOfQBasic(mu, q)),
+                 (Interpolated(0, mu, q), QBasicOfQuadratic(q, mu))):
+        t_end, direct = (virial_coefficients(GasModel(sf, order=5, backend=backend)) for sf in pair)
+        for (_, a), (_, b) in zip(t_end, direct):
+            if abs(a - b) > max(abs(a), abs(b), 1) * decimal.Decimal("1e-40"):
+                return False
     return True
 
 
@@ -458,68 +440,52 @@ def _eps_comparison_lines() -> list[str]:
 def cmd_check_paper(args) -> tuple[str, int]:
     if args.format == "csv":
         raise UsageError("check-paper reports support pretty or json")
-    passes = [
-        ("basic-number-monomials", _check_monomial_rows(),
-         "nine printed monomial-basis coefficients of the basic-number expansion reproduced exactly"),
-        ("hamiltonian-split-identity", _check_hamiltonian_identity(),
-         "ladder-average split equals (phi(N+1)+phi(N))/2 exactly for orders 0..6, N 0..12"),
-        ("undeformed-virial-anchors", _check_undeformed_anchors(),
-         "V2 = -1/(4*sqrt(2)) and V3 = 1/8 - 2/(9*sqrt(3)) exactly in the undeformed limit"),
-        ("quadratic-second-virial", _check_quadratic_second_virial(),
-         "V2 = -(1-mu)/2^(5/2) on a five-point mu grid, vanishing at mu = 1"),
-        ("second-virial-deviation-limits", _check_deviation_limits(),
-         "deviation limits (1-q)/2^(7/2) at mu=0 and mu/2^(5/2) at q=1 hold exactly"),
-        ("closed-forms-match-engine", _check_closed_forms(),
-         "closed forms V2..V5 (corrected fifth-order term) equal engine reversion exactly"),
-        ("t-family-endpoints", _check_t_family_endpoints(),
-         "interpolated family at t=0/t=1 matches the two composite models to 40 digits"),
+    report = [  # (id, status, expected status, detail)
+        (cid, "PASS" if check() else "FAIL", "PASS", detail)
+        for cid, check, detail in (
+            ("basic-number-monomials", _check_monomial_rows,
+             "nine printed monomial-basis coefficients of the basic-number expansion reproduced exactly"),
+            ("hamiltonian-split-identity", _check_hamiltonian_identity,
+             "ladder-average split equals (phi(N+1)+phi(N))/2 exactly for orders 0..6, N 0..12"),
+            ("undeformed-virial-anchors", _check_undeformed_anchors,
+             "V2 = -1/(4*sqrt(2)) and V3 = 1/8 - 2/(9*sqrt(3)) exactly in the undeformed limit"),
+            ("quadratic-second-virial", _check_quadratic_second_virial,
+             "V2 = -(1-mu)/2^(5/2) on a five-point mu grid, vanishing at mu = 1"),
+            ("second-virial-deviation-limits", _check_deviation_limits,
+             "deviation limits (1-q)/2^(7/2) at mu=0 and mu/2^(5/2) at q=1 hold exactly"),
+            ("closed-forms-match-engine", _check_closed_forms,
+             "closed forms V2..V5 (corrected fifth-order term) equal engine reversion exactly"),
+            ("t-family-endpoints", _check_t_family_endpoints,
+             "interpolated family at t=0/t=1 matches the two composite models to 40 digits"),
+        )
     ]
-    fifth_differs, fifth_detail = _fifth_virial_discrepancy()
-    cubic_differs, cubic_detail = _fugacity_cubic_discrepancy()
-    discrepancies = [
-        ("fifth-virial-third-term", fifth_differs, fifth_detail),
-        ("fugacity-cubic-exponent", cubic_differs, cubic_detail),
-    ]
-    ok = all(flag for _, flag, _ in passes) and all(flag for _, flag, _ in discrepancies)
+    for cid, misprint in (("fifth-virial-third-term", _fifth_virial_discrepancy),
+                          ("fugacity-cubic-exponent", _fugacity_cubic_discrepancy)):
+        differs, detail = misprint()
+        report.append((cid, "DISCREPANCY" if differs else "UNEXPECTED-AGREEMENT", "DISCREPANCY", detail))
+    statuses = [status for _, status, _, _ in report]
+    unexpected = sum(status != expected for _, status, expected, _ in report)
 
     if args.format == "json":
-        checks = [
-            {"id": cid, "status": "PASS" if flag else "FAIL", "expected": "PASS", "detail": detail}
-            for cid, flag, detail in passes
-        ]
-        checks.extend(
-            {
-                "id": cid,
-                "status": "DISCREPANCY" if flag else "UNEXPECTED-AGREEMENT",
-                "expected": "DISCREPANCY",
-                "detail": detail,
-            }
-            for cid, flag, detail in discrepancies
-        )
         payload = {
             "meta": {"tool": "qvirial", "version": __version__, "command": "check-paper"},
-            "checks": checks,
+            "checks": [dict(zip(("id", "status", "expected", "detail"), row)) for row in report],
             "notes": {"eps-virial-comparison": _eps_comparison_lines()},
-            "ok": ok,
+            "ok": not unexpected,
         }
-        return json.dumps(payload, indent=2) + "\n", 0 if ok else 1
+        return json.dumps(payload, indent=2) + "\n", 1 if unexpected else 0
 
     lines = [f"qvirial {__version__} check-paper"]
-    for cid, flag, detail in passes:
-        lines.append(f"{'PASS' if flag else 'FAIL'}  {cid}: {detail}")
-    for cid, flag, detail in discrepancies:
-        status = "DISCREPANCY (expected misprint)" if flag else "UNEXPECTED-AGREEMENT"
-        lines.append(f"{status}  {cid}: {detail}")
+    for cid, status, _, detail in report:
+        label = "DISCREPANCY (expected misprint)" if status == "DISCREPANCY" else status
+        lines.append(f"{label}  {cid}: {detail}")
     lines.append("NOTE  eps-virial-comparison:")
     lines.extend(f"    {line}" for line in _eps_comparison_lines())
-    n_pass = sum(1 for _, flag, _ in passes if flag)
-    n_disc = sum(1 for _, flag, _ in discrepancies if flag)
-    unexpected = (len(passes) - n_pass) + (len(discrepancies) - n_disc)
     lines.append(
-        f"result: {'OK' if ok else 'FAILED'} "
-        f"({n_pass} pass, {n_disc} expected misprints, {unexpected} unexpected)"
+        f"result: {'FAILED' if unexpected else 'OK'} ({statuses.count('PASS')} pass, "
+        f"{statuses.count('DISCREPANCY')} expected misprints, {unexpected} unexpected)"
     )
-    return "\n".join(lines) + "\n", 0 if ok else 1
+    return "\n".join(lines) + "\n", 1 if unexpected else 0
 
 
 # --------------------------------------------------------------------------
@@ -598,13 +564,13 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except (UnsupportedBackendError, UnboundVariableError) as exc:
+    except UnsupportedBackendError as exc:
         print(f"qvirial: backend error: {exc}", file=sys.stderr)
         return 3
     except decimal.Overflow:
         print("qvirial: backend error: a value leaves the decimal exponent range", file=sys.stderr)
         return 3
-    except (QVirialError, UsageError) as exc:
+    except (DescriptorError, UsageError) as exc:
         print(f"qvirial: error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -61,6 +61,10 @@ __all__ = [
 # cross-check against the exact ring.
 _GUARD_DIGITS = 15
 
+# The decimal backend's exponent range: past it a value overflows (or rounds to
+# zero) instead of becoming a cell whose quadratic-time rendering takes minutes.
+_MAX_EXPONENT = 2 * 10**4
+
 
 @lru_cache(maxsize=None)
 def radical_normalize(n: int) -> tuple[int, int]:
@@ -522,7 +526,7 @@ class DecimalBackend(_Backend):
 
     @property
     def context(self) -> Context:
-        return Context(prec=self.digits + _GUARD_DIGITS, Emax=10**9, Emin=-(10**9))
+        return Context(prec=self.digits + _GUARD_DIGITS, Emax=_MAX_EXPONENT, Emin=-_MAX_EXPONENT)
 
     def arith(self):
         return localcontext(self.context)

@@ -18,6 +18,10 @@ The catalogue:
   QBasicSeries(order)         [n]_q with q = 1 + eps kept as a truncated
                               polynomial in eps
 
+A rational variant's descriptor is its class attribute `kind` and its field
+values in field order, `mu-q:1/4,3/2`; Interpolated names each field,
+`t:1/2;mu:1/4;q:3/2`.  QBasicSeries is `q-eps:order=N`.
+
 `eval_structure` evaluates any variant on a backend; the rational ones form
 phi(n) as one unreduced integer ratio, with [n]_q = (b**n - a**n) /
 (b**(n-1) * (b-a)) for q = a/b, which the backend converts once.  On the
@@ -75,44 +79,48 @@ def quadratic_number(mu: Fraction, n: int) -> Fraction:
     return (1 + mu) * n - mu * n * n
 
 
-class QBasic(Frozen):
+class _Rational(Frozen):
+    """A variant with rational fields; its descriptor is `kind:` and the field values."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        return f"{self.kind}:{','.join(map(str, self._values()))}"
+
+
+class QBasic(_Rational):
     __slots__ = ("q",)
+    kind = "q"
 
     def __init__(self, q: Fraction) -> None:
         self._set(Fraction(q))
         if self.q == 1:
             raise ValueError("QBasic stores q != 1; the undeformed limit is Quadratic(0) or QuadraticOfQBasic(mu, 1)")
 
-    def describe(self) -> str:
-        return f"q:{self.q}"
 
-
-class Quadratic(Frozen):
+class Quadratic(_Rational):
     __slots__ = ("mu",)
+    kind = "mu"
 
     def __init__(self, mu: Fraction) -> None:
         self._set(Fraction(mu))
 
-    def describe(self) -> str:
-        return f"mu:{self.mu}"
 
-
-class QuadraticOfQBasic(Frozen):
+class QuadraticOfQBasic(_Rational):
     """Quadratic deformation applied on top of the basic number: phi_mu([n]_q)."""
 
     __slots__ = ("mu", "q")
+    kind = "mu-q"
 
     def __init__(self, mu: Fraction, q: Fraction) -> None:
         self._set(Fraction(mu), Fraction(q))
 
-    def describe(self) -> str:
-        return f"mu-q:{self.mu},{self.q}"
 
-
-class QBasicOfQuadratic(Frozen):
+class QBasicOfQuadratic(_Rational):
     """Basic number applied on top of the quadratic deformation: phi_q([n]_mu)."""
 
     __slots__ = ("q", "mu")
+    kind = "q-mu"
 
     def __init__(self, q: Fraction, mu: Fraction) -> None:
         self._set(Fraction(q), Fraction(mu))
@@ -121,14 +129,12 @@ class QBasicOfQuadratic(Frozen):
         if self.q <= 0:
             raise ValueError("QBasicOfQuadratic needs q > 0 (rational powers of q)")
 
-    def describe(self) -> str:
-        return f"q-mu:{self.q},{self.mu}"
 
-
-class Interpolated(Frozen):
+class Interpolated(_Rational):
     """Convex combination t*QuadraticOfQBasic + (1-t)*QBasicOfQuadratic."""
 
     __slots__ = ("t", "mu", "q")
+    kind = "t"
 
     def __init__(self, t: Fraction, mu: Fraction, q: Fraction) -> None:
         self._set(Fraction(t), Fraction(mu), Fraction(q))
@@ -138,7 +144,7 @@ class Interpolated(Frozen):
             raise ValueError("Interpolated needs q > 0")
 
     def describe(self) -> str:
-        return f"t:{self.t};mu:{self.mu};q:{self.q}"
+        return ";".join(f"{name}:{getattr(self, name)}" for name in self.__slots__)
 
 
 class QBasicSeries(Frozen):
@@ -297,57 +303,48 @@ def _parse_rational(text: str) -> Fraction:
         raise DescriptorError(f"zero denominator: {text!r}") from exc
 
 
+_KINDS = {cls.kind: cls for cls in (QBasic, Quadratic, QuadraticOfQBasic, QBasicOfQuadratic, Interpolated)}
+
+
+def _named_parts(text: str) -> list[str]:
+    """The values of `t:...;mu:...;q:...` in Interpolated's field order."""
+    fields = {}
+    for part in text.split(";"):
+        key, _, value = part.partition(":")
+        if not value:
+            raise DescriptorError(f"malformed descriptor part {part!r}")
+        if key.strip() in fields:
+            raise DescriptorError(f"t-descriptor repeats the {key.strip()}: part")
+        fields[key.strip()] = value
+    if set(fields) != set(Interpolated.__slots__):
+        raise DescriptorError("t-descriptor needs exactly t:, mu:, q: parts")
+    return [fields[name] for name in Interpolated.__slots__]
+
+
 def parse_descriptor(text: str) -> StructureFunction:
     """Parse `q:3/2`, `mu:1/4`, `mu-q:1/4,3/2`, `q-mu:3/2,1/4`,
     `t:1/2;mu:1/4;q:3/2`, or `q-eps:order=6`."""
     text = text.strip()
-    if text.startswith("t:"):
-        fields = {}
-        for part in text.split(";"):
-            key, _, value = part.partition(":")
-            if not value:
-                raise DescriptorError(f"malformed descriptor part {part!r}")
-            if key.strip() in fields:
-                raise DescriptorError(f"t-descriptor repeats the {key.strip()}: part")
-            fields[key.strip()] = value.strip()
-        if set(fields) != {"t", "mu", "q"}:
-            raise DescriptorError("t-descriptor needs exactly t:, mu:, q: parts")
-        try:
-            return Interpolated(
-                _parse_rational(fields["t"]),
-                _parse_rational(fields["mu"]),
-                _parse_rational(fields["q"]),
-            )
-        except ValueError as exc:
-            raise DescriptorError(str(exc)) from exc
     kind, sep, rest = text.partition(":")
     if not sep:
         raise DescriptorError(f"malformed descriptor {text!r}")
     try:
-        if kind == "q":
-            return QBasic(_parse_rational(rest))
-        if kind == "mu":
-            return Quadratic(_parse_rational(rest))
-        if kind in ("mu-q", "q-mu"):
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise DescriptorError(f"{kind} descriptor needs two parameters")
-            a, b = (_parse_rational(p) for p in parts)
-            return QuadraticOfQBasic(a, b) if kind == "mu-q" else QBasicOfQuadratic(a, b)
         if kind == "q-eps":
             key, _, value = rest.partition("=")
-            if key.strip() != "order":
-                raise DescriptorError("q-eps descriptor takes order=<int>")
-            try:
-                order = int(value)
-            except ValueError as exc:
-                raise DescriptorError(f"not an integer order: {value!r}") from exc
-            return QBasicSeries(order)
+            if key.strip() != "order" or not re.fullmatch(r"[+-]?\d+", value.strip()):
+                raise DescriptorError(f"q-eps descriptor takes order=<int>, not {rest!r}")
+            return QBasicSeries(int(value))
+        cls = _KINDS.get(kind)
+        if cls is None:
+            raise DescriptorError(f"unknown structure-function kind {kind!r}")
+        parts = _named_parts(text) if cls is Interpolated else rest.split(",")
+        if len(parts) != len(cls.__slots__):
+            raise DescriptorError(f"{text!r} is not of the form {kind}:{','.join(cls.__slots__)}")
+        return cls(*map(_parse_rational, parts))
     except DescriptorError:
         raise
     except ValueError as exc:
         raise DescriptorError(str(exc)) from exc
-    raise DescriptorError(f"unknown structure-function kind {kind!r}")
 
 
 def mu_parameter(sf: StructureFunction) -> Fraction | None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qvirial import cli, exact
+from qvirial import cli, errors, exact
 from qvirial.cli import main
 
 
@@ -302,6 +302,16 @@ def test_caps_admit_their_limit():
         cli._parse_sweep_flag(f"mu=1:{cli.MAX_SWEEP_POINTS + 1}:1")
 
 
+def test_sweep_parameters_are_the_variant_fields(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--sf", "q-mu:3/2,1/4", "--K", "2", "--backend", "decimal:20",
+                           "--sweep", "q=3/2:2:1/2", "--sweep", "mu=0:1/4:1/4")
+    assert code == 0 and "\nq,mu,k,V_k_decimal\n" in out
+    code, out, err = run_cli(capsys, "sweep", "--sf", "q-mu:3/2,1/4", "--K", "2", "--backend", "decimal:20",
+                             "--sweep", "t=0:1:1")
+    assert (code, out) == (2, "")
+    assert err == "qvirial: error: 't' is not a parameter of q-mu:3/2,1/4 (has ('q', 'mu'))\n"
+
+
 def test_sweep_bounds_follow_descriptor_grammar():
     # bounds are rationals like descriptor parameters: decimals are rejected
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0.1:0.5:0.1"]) == 2
@@ -328,6 +338,42 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "virial_coefficients", broken)
     with pytest.raises(ValueError, match="arithmetic bug"):
         main(["virial", "--sf", "mu:1/4", "--K", "3"])
+
+
+# Every package error the CLI can meet is either input the user can fix (exit 2
+# or 3, see test_exit_codes) or a broken engine invariant, which propagates.
+USER_FACING = ["DescriptorError", "UnsupportedBackendError"]
+INTERNAL = ["MixedBackendError", "NonzeroConstantTermError", "ZeroLinearCoefficientError",
+            "UnsupportedOrderError", "UnboundVariableError"]
+
+
+def test_every_raised_package_error_is_classified():
+    assert set(USER_FACING).isdisjoint(INTERNAL)
+    assert sorted([*USER_FACING, *INTERNAL]) == sorted(set(errors.__all__) - {"QVirialError"})
+    src = Path(cli.__file__).parent
+    raised = {name for path in src.glob("*.py") for name in re.findall(r"raise (\w+)\(", path.read_text())}
+    package_errors = {name for name in raised if isinstance(getattr(errors, name, None), type)}
+    assert package_errors == {*USER_FACING, *INTERNAL}
+
+
+@pytest.mark.parametrize("name", INTERNAL)
+def test_engine_invariant_errors_propagate(monkeypatch, name):
+    def broken(model):
+        raise getattr(errors, name)("engine bug")
+
+    monkeypatch.setattr(cli, "virial_coefficients", broken)
+    with pytest.raises(getattr(errors, name), match="engine bug"):
+        main(["virial", "--sf", "mu:1/4", "--K", "3"])
+
+
+def test_huge_decimal_cells_exit_3_at_once():
+    # q**8000002: rendering such a cell took minutes, the exponent bound stops it first
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["virial", "--sf", "q-mu:10,-4000000", "--K", "2", "--backend", "decimal:20"]
+    done = subprocess.run([sys.executable, "-m", "qvirial", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "qvirial: backend error: a value leaves the decimal exponent range\n"
 
 
 # -- other subcommands -----------------------------------------------------------
@@ -425,6 +471,31 @@ def test_check_paper_output_is_pinned(capsys, argv, golden):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+
+
+def test_check_paper_reports_a_failed_anchor_and_an_agreeing_misprint(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_check_t_family_endpoints", lambda: False)
+    monkeypatch.setattr(cli, "_fugacity_cubic_discrepancy", lambda: (False, "printed and engine agree"))
+    code, out, err = run_cli(capsys, "check-paper")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "FAIL  t-family-endpoints: interpolated family at t=0/t=1 matches the two composite " \
+           "models to 40 digits" in lines
+    assert "UNEXPECTED-AGREEMENT  fugacity-cubic-exponent: printed and engine agree" in lines
+    assert sum(line.startswith("DISCREPANCY (expected misprint)  ") for line in lines) == 1
+    assert lines[-1] == "result: FAILED (6 pass, 1 expected misprints, 2 unexpected)"
+
+    code, out, err = run_cli(capsys, "check-paper", "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [(c["id"], c["status"], c["expected"]) for c in payload["checks"]][-3:] == [
+        ("t-family-endpoints", "FAIL", "PASS"),
+        ("fifth-virial-third-term", "DISCREPANCY", "DISCREPANCY"),
+        ("fugacity-cubic-exponent", "UNEXPECTED-AGREEMENT", "DISCREPANCY"),
+    ]
+    assert [c["status"] for c in payload["checks"]][:6] == ["PASS"] * 6
+    assert payload["checks"][-1]["detail"] == "printed and engine agree"
 
 
 def test_check_paper_rejects_csv():

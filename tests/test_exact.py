@@ -295,6 +295,15 @@ def test_decimal_backend_half_power_matches_surd():
         assert sig_agree(backend.half_power(n, k), exact, 48)
 
 
+def test_every_decimal_backend_value_renders_short():
+    # rendering a cell is quadratic in its integer digits; the exponent range
+    # bounds them, so even the extreme values render in milliseconds
+    context = DecimalBackend(1000).context
+    largest = context.next_minus(Decimal("Infinity"))
+    assert len(to_decimal(-largest, 12)) < 21_000
+    assert to_decimal(context.next_plus(Decimal(0)), 12) == "0.000000000000"
+
+
 def test_truncpoly_backend_scalars():
     backend = TruncPolyBackend(3)
     assert TruncPolyBackend.__slots__ == ("order",)

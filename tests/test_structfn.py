@@ -7,7 +7,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qvirial import (
     DecimalBackend,
@@ -363,9 +363,19 @@ def test_parse_descriptor_round_trips():
         assert sf.describe() == text
 
 
+@given(st.sampled_from([QBasic, Quadratic, QuadraticOfQBasic, QBasicOfQuadratic, Interpolated]),
+       st.lists(st.fractions(max_denominator=10**30) | st.just(Fraction(0)), min_size=3, max_size=3))
+def test_parse_descriptor_round_trips_any_rationals(cls, values):
+    try:
+        sf = cls(*values[: len(cls.__slots__)])
+    except ValueError:  # q = 1, or q <= 0 where q is raised to rational powers
+        assume(False)
+    assert parse_descriptor(sf.describe()) == sf
+
+
 def test_parse_descriptor_rejects_garbage():
     for bad in ["", "frob:1", "q:", "mu-q:1/4", "t:1;mu:2", "q:1.5", "q-eps:order=x", "q:1",
-                "t:1/2;t:1;mu:1/4;q:3/2"]:
+                "t:1/2;t:1;mu:1/4;q:3/2", "mu-q:1,2,3", "q-mu:1", "mu:1,2"]:
         with pytest.raises(DescriptorError):
             parse_descriptor(bad)
     with pytest.raises(DescriptorError, match="repeats the mu: part"):
