@@ -19,7 +19,9 @@ A backend turns a rational into a scalar in one place, `from_ratio(num, den)`
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
 equally long; the surd `dot` sums integer numerators over one running common
-denominator and normalizes once per sum, not once per term.
+denominator and normalizes once per sum, not once per term.  Its cost is one
+radicand-product table lookup per radicand pair of a term, none for radicand
+1, with the operand that has fewer radicands outside.
 
 Values are immutable and the operations are pure functions, so everything
 here is safe to share between threads.
@@ -99,19 +101,19 @@ def half_power(n: int, k: int) -> "SurdRational":
     return _surd({r: s}, n ** ((k + 1) // 2))
 
 
-@lru_cache(maxsize=None)
-def _radicand_product(r1: int, r2: int) -> tuple[int, int]:
-    """sqrt(r1)*sqrt(r2) = g*sqrt(r) for square-free r1, r2: returns (r, g)."""
-    g = math.gcd(r1, r2)
-    return (r1 // g) * (r2 // g), g
+# The radicand-product table r1 -> {r2: (r, g)}, sqrt(r1)*sqrt(r2) = g*sqrt(r) for square-free
+# r1, r2, filled on first use: facts about radicands, never a result, kept for the process.
+_RADICAND_PRODUCTS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _surd(num: dict[int, int], den: int) -> "SurdRational":
-    """The canonical sum_r num[r]*sqrt(r) / den for square-free r and den > 0."""
-    num = {r: n for r, n in sorted(num.items()) if n}
+    """The canonical sum_r num[r]*sqrt(r) / den for square-free r and den > 0;
+    `num` is the caller's fresh dict, which the result may keep."""
+    if len(num) > 1:  # one radicand needs no sorting
+        num = {r: n for r, n in sorted(num.items()) if n}
     g = math.gcd(den, *num.values())
-    if g != 1:
-        num = {r: n // g for r, n in num.items()}
+    if g != 1 or 0 in num.values():
+        num = {r: n // g for r, n in num.items() if n}
         den //= g
     out = object.__new__(SurdRational)
     out._num, out._den = num, den
@@ -428,11 +430,11 @@ class SurdBackend(_Backend):
 
     @property
     def zero(self) -> SurdRational:
-        return SurdRational()
+        return _ZERO
 
     @property
     def one(self) -> SurdRational:
-        return SurdRational.from_fraction(1)
+        return _ONE
 
     def from_ratio(self, num: int, den: int) -> SurdRational:
         return _surd({1: num}, den)
@@ -450,21 +452,40 @@ class SurdBackend(_Backend):
         return SurdRational.from_fraction(Fraction(1) / scalar.rational_part())
 
     def dot(self, xs, ys) -> SurdRational:
-        """sum_i xs[i]*ys[i] for equally long xs, ys, normalized once."""
+        """sum_i xs[i]*ys[i] for equally long xs, ys, normalized once.  Per
+        term the operand with fewer radicands runs outside; an outer radicand 1
+        adds n1*n2 straight into the inner key, any other fetches its row of
+        the radicand-product table once and makes one lookup per pair."""
         acc, den = {}, 1
         for x, y in zip(xs, ys, strict=True):
-            if not (x._num and y._num):
+            xn, yn = x._num, y._num
+            if not (xn and yn):
                 continue
             d = x._den * y._den
             if den % d:  # rescale the accumulator to a common multiple of d
                 s = d // math.gcd(den, d)
                 acc, den = {r: n * s for r, n in acc.items()}, den * s
             s = den // d
-            for r1, n1 in x._num.items():
+            if len(xn) > len(yn):
+                xn, yn = yn, xn
+            get = acc.get  # bound after the rescale, which replaces acc
+            for r1, n1 in xn.items():
                 n1 *= s
-                for r2, n2 in y._num.items():
-                    rad, g = _radicand_product(r1, r2)
-                    acc[rad] = acc.get(rad, 0) + n1 * n2 * g
+                if r1 == 1:
+                    for r2, n2 in yn.items():
+                        acc[r2] = get(r2, 0) + n1 * n2
+                    continue
+                row = _RADICAND_PRODUCTS.setdefault(r1, {})
+                for r2, n2 in yn.items():
+                    try:
+                        rad, g = row[r2]
+                    except KeyError:
+                        g = math.gcd(r1, r2)
+                        rad, g = row[r2] = (r1 // g) * (r2 // g), g
+                    if g == 1:
+                        acc[rad] = get(rad, 0) + n1 * n2
+                    else:
+                        acc[rad] = get(rad, 0) + n1 * n2 * g
         return _surd(acc, den)
 
     def describe(self) -> str:
@@ -558,6 +579,7 @@ class DecimalBackend(_Backend):
 
 
 SURD = SurdBackend()
+_ZERO, _ONE = _surd({}, 1), _surd({1: 1}, 1)  # shared: values are immutable
 
 Backend = SurdBackend | TruncPolyBackend | DecimalBackend
 
@@ -567,18 +589,22 @@ Backend = SurdBackend | TruncPolyBackend | DecimalBackend
 # --------------------------------------------------------------------------
 
 
-def _text(x: int | Fraction) -> str:
-    """str(x), also past the interpreter's int-to-str digit limit: Decimal(int) is exact."""
+def _text(n: int) -> str:
+    """str(n), also past the interpreter's int-to-str digit limit: Decimal(int) is exact."""
     try:
-        return str(x)
+        return str(n)
     except ValueError:
-        num, den = x.as_integer_ratio()
-        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+        return str(Decimal(n))
 
 
 def _signed_sum(terms: Iterable[tuple[int, int, str]]) -> str:
     """'-a*s + b*t' from (numerator, denominator > 0, suffix) triples, zeros skipped; '0' if none."""
-    text = " ".join(f"{'-' if n < 0 else '+'} {_text(Fraction(abs(n), d))}{s}" for n, d, s in terms if n)
+    parts = []
+    for n, d, s in terms:
+        if n:  # n/d in lowest terms
+            g = math.gcd(n, d)
+            parts.append(f"{'-' if n < 0 else '+'} {_text(abs(n) // g)}{f'/{_text(d // g)}' if d > g else ''}{s}")
+    text = " ".join(parts)
     if not text:
         return "0"
     return text[2:] if text[0] == "+" else "-" + text[2:]

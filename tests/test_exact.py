@@ -21,6 +21,7 @@ from qvirial import (
     radical_normalize,
     to_decimal,
 )
+from qvirial.cli import main
 
 from helpers import FractionSurd, sig_agree, surd_oracle_decimal
 
@@ -507,6 +508,24 @@ def _pairs_st(elements):
     [SurdRational({2: 3}), SurdRational({2: Fraction(1, 4)}), SurdRational({1: 5}),
      SurdRational({1: 1})],
 ))
+# a rational term times a dense one, and the reverse: the shorter operand runs
+# outside, so the second example swaps them, and both take the radicand-1 path
+@example(([SurdRational({1: Fraction(2, 3)})],
+          [SurdRational({2: 1, 3: Fraction(-1, 2), 5: Fraction(1, 4)})]))
+@example(([SurdRational({2: 1, 3: Fraction(-1, 2), 5: Fraction(1, 4)})],
+          [SurdRational({1: Fraction(2, 3)})]))
+# radicands that share a prime: sqrt(6)*sqrt(10) = 2*sqrt(15), sqrt(15)*sqrt(35) = 5*sqrt(21)
+@example(([SurdRational({6: Fraction(1, 2)}), SurdRational({15: 1})],
+          [SurdRational({10: Fraction(1, 3)}), SurdRational({35: Fraction(-2, 7)})]))
+# one-radicand terms over 8, then 12 and 5, which rescale the accumulator; each
+# later term adds into the same sqrt(2) key, once by the radicand-1 path and
+# once by a table row (sqrt(3)*sqrt(6) = 3*sqrt(2))
+@example(([SurdRational({1: Fraction(1, 8)}), SurdRational({1: Fraction(1, 12)}),
+           SurdRational({3: Fraction(1, 5)})],
+          [SurdRational({2: 1}), SurdRational({2: 1}), SurdRational({6: 1})]))
+# total cancellation: sqrt(2)/2 * 2*sqrt(3) - sqrt(6) = 0
+@example(([SurdRational({2: Fraction(1, 2)}), SurdRational({1: 1})],
+          [SurdRational({3: 2}), SurdRational({6: -1})]))
 @settings(max_examples=120, deadline=None)
 def test_surd_dot_matches_operator_sum(pair):
     xs, ys = pair
@@ -516,6 +535,32 @@ def test_surd_dot_matches_operator_sum(pair):
     # reference that shares no code with it
     ref_xs, ref_ys = ([FractionSurd(v.terms) for v in side] for side in pair)
     _assert_matches(value, _operator_sum(FractionSurd(), ref_xs, ref_ys))
+
+
+def _fields(values):
+    return [(dict(v._num), list(v._num), v._den) for v in values]
+
+
+# SURD.zero and SURD.one are shared values: no operation may write to an operand
+@given(_pairs_st(st.one_of(st.just(SURD.zero), st.just(SURD.one), surds_st)), fractions_st)
+@settings(max_examples=60, deadline=None)
+def test_surd_operations_leave_their_operands_unchanged(pair, k):
+    xs, ys = pair
+    before = _fields(xs + ys)
+    SURD.dot(xs, ys)
+    for x, y in zip(xs, ys):
+        _ = x + y, x - y, x * y, -x, x + k, x - k, x * k, k - x
+        if k:
+            _ = x / k, x / SurdRational.from_fraction(k)
+    assert _fields(xs + ys) == before
+
+
+def test_shared_zero_and_one_survive_table_jobs(capsys):
+    assert main(["virial", "--sf", "q:5/3", "--K", "12"]) == 0
+    assert main(["series", "--sf", "mu-q:1/3,7/5", "--K", "8"]) == 0
+    capsys.readouterr()
+    assert SURD.zero == SurdRational() and (SURD.zero._num, SURD.zero._den) == ({}, 1)
+    assert SURD.one == 1 and (SURD.one._num, SURD.one._den) == ({1: 1}, 1)
 
 
 def test_surd_dot_rejects_unequal_lengths():
