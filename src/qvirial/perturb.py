@@ -18,6 +18,7 @@ shift is Pascal's rule C(N+1, i+1) = C(N, i+1) + C(N, i), and the square is
 one integer convolution of Stirling rows.  Coefficients stay integer
 numerators over one denominator until each becomes a Fraction, once, in a
 NumberPoly: a value that compares, evaluates and renders, with no arithmetic.
+A split is its terms: a tuple by eps power, or a dict by (eps, mu) powers.
 """
 
 from __future__ import annotations
@@ -26,14 +27,11 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import Frozen
 from .exact import _signed_sum
 from .structfn import _stirling_rows
 
 __all__ = [
     "NumberPoly",
-    "HamiltonianSplit",
-    "TwoParamSplit",
     "hamiltonian_split",
     "two_param_split",
 ]
@@ -94,20 +92,8 @@ class NumberPoly:
         return f"NumberPoly({self.render()!r})"
 
 
-class HamiltonianSplit(Frozen):
-    """Ladder-average Hamiltonian as exact polynomials per power of eps."""
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms: tuple[NumberPoly, ...]) -> None:
-        self._set(order, terms)
-
-    def term(self, i: int) -> NumberPoly:
-        return self.terms[i]
-
-
-def hamiltonian_split(order: int) -> HamiltonianSplit:
-    """Split ([N+1]_q + [N]_q)/2, q = 1 + eps, into polynomials per eps power.
+def hamiltonian_split(order: int) -> tuple[NumberPoly, ...]:
+    """Split ([N+1]_q + [N]_q)/2, q = 1 + eps, into its terms 0..order per eps power.
 
     Term i for i >= 1 is (2N+1-i)/(2*(i+1)!) times the falling factorial
     N(N-1)...(N-i+1); term 0 is the free part N + 1/2.  Each term i has
@@ -119,36 +105,22 @@ def hamiltonian_split(order: int) -> HamiltonianSplit:
     for i, row in enumerate(_stirling_rows(order)):  # row[k] = s(i, k)
         nums = [(1 - i) * a + 2 * b for a, b in zip(row + [0], [0] + row)]
         terms.append(NumberPoly._from_numerators(nums, 2 * math.factorial(i + 1)))
-    return HamiltonianSplit(order=order, terms=tuple(terms))
+    return tuple(terms)
 
 
-class TwoParamSplit(Frozen):
-    """Ladder average of the two-parameter deformation as a double expansion.
-
-    terms[(i, j)] is the polynomial in N multiplying eps**i * mu**j.  The
-    structure function is linear in mu, so only the rows j = 0 and j = 1 are
-    ever nonzero; the (0, 0) entry is the free part N + 1/2.
-    """
-
-    __slots__ = ("order_eps", "order_mu", "terms")
-
-    def __init__(self, order_eps: int, order_mu: int, terms: dict[tuple[int, int], NumberPoly]) -> None:
-        self._set(order_eps, order_mu, terms)
-
-    def term(self, i: int, j: int) -> NumberPoly:
-        return self.terms.get((i, j), NumberPoly())
-
-
-def two_param_split(order_eps: int, order_mu: int) -> TwoParamSplit:
+def two_param_split(order_eps: int, order_mu: int) -> dict[tuple[int, int], NumberPoly]:
     """Exact bivariate truncation of ((phi(N+1) + phi(N))/2 for the combined
     deformation phi = (1+mu)*[.]_q - mu*[.]_q**2, q = 1 + eps.
 
-    The mu-row at eps = 0 is the direct quadratic-deformation average minus
-    the free part; the eps-row at mu = 0 reproduces hamiltonian_split.
+    Entry (i, j) is the polynomial in N multiplying eps**i * mu**j.  The
+    structure function is linear in mu, so only the rows j = 0 and j = 1 are
+    ever present; the (0, 0) entry is the free part N + 1/2.  The mu-row at
+    eps = 0 is the direct quadratic-deformation average minus the free part;
+    the eps-row at mu = 0 reproduces hamiltonian_split.
     """
     if order_eps < 0 or order_mu < 0:
         raise ValueError("orders must be nonnegative")
-    terms = {(i, 0): poly for i, poly in enumerate(hamiltonian_split(order_eps).terms)}
+    terms = {(i, 0): poly for i, poly in enumerate(hamiltonian_split(order_eps))}
     if order_mu >= 1:
         # numerators over (i+1)! of C(N, i+1) and of C(N+1, i+1) = C(N, i+1) + C(N, i)
         rows = _stirling_rows(order_eps + 1)
@@ -166,4 +138,4 @@ def two_param_split(order_eps: int, order_mu: int) -> TwoParamSplit:
                         for k, y in enumerate(right):
                             row[j + k] -= weight * x * y
             terms[(i, 1)] = NumberPoly._from_numerators(row, 2 * math.factorial(i + 2))
-    return TwoParamSplit(order_eps=order_eps, order_mu=order_mu, terms=terms)
+    return terms

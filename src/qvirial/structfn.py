@@ -346,20 +346,3 @@ def parse_descriptor(text: str) -> StructureFunction:
     except ValueError as exc:
         raise DescriptorError(str(exc)) from exc
 
-
-def mu_parameter(sf: StructureFunction) -> Fraction | None:
-    """The mu parameter of a variant, if it has one."""
-    return getattr(sf, "mu", None)
-
-
-def is_unit_fraction_mu(sf: StructureFunction) -> bool | None:
-    """Whether mu = 1/m for an integer m >= 1 (None when the variant has no mu).
-
-    mu = 1/m is the regime in which the quadratic deformation realizes
-    two-constituent composite bosons; general rational mu is accepted and this
-    flag is reported in output metadata rather than enforced.
-    """
-    mu = mu_parameter(sf)
-    if mu is None:
-        return None
-    return mu > 0 and mu.numerator == 1

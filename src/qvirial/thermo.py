@@ -17,15 +17,12 @@ z(x) - h lies in x**(n+1): Taylor and one Newton step give pressure(z(x)) = Q - 
 Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) come from Lagrange
 inversion: with x = z*a(z), V_k = [z**(k-1)] a(z)**(1-k) / k, the power taken
 by J. C. P. Miller's recurrence with ring operators only, so they share no code
-with the series engine they cross-check.  Mode "corrected" is that formula;
-"paper-verbatim" keeps a misprinted fifth-order term from the source
-publication for errata reporting (its third term reads -2*phi(3)**3/3**5
-where the reversion algebra forces +2*phi(3)**2/3**5).
+with the series engine they cross-check.  The source publication's printed
+fifth-order form differs from them by a misprint; `qvirial check-paper`
+reports it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import Frozen, UnsupportedOrderError
 from .exact import (
@@ -41,8 +38,6 @@ from .structfn import (
     StructureFunction,
     UNDEFORMED,
     eval_structure,
-    is_unit_fraction_mu,
-    mu_parameter,
 )
 
 __all__ = [
@@ -103,16 +98,14 @@ class VirialTable(Frozen):
     computed formally, physical admissibility being the caller's judgement.
     """
 
-    __slots__ = ("sf", "order", "backend", "values", "mu", "mu_unit_fraction", "first_nonpositive_phi")
+    __slots__ = ("values", "first_nonpositive_phi")
 
-    def __init__(self, sf: StructureFunction, order: int, backend: Backend, values: tuple[Scalar, ...],
-                 mu: Fraction | None = None, mu_unit_fraction: bool | None = None,
-                 first_nonpositive_phi: int | None = None) -> None:
-        self._set(sf, order, backend, values, mu, mu_unit_fraction, first_nonpositive_phi)
+    def __init__(self, values: tuple[Scalar, ...], first_nonpositive_phi: int | None = None) -> None:
+        self._set(values, first_nonpositive_phi)
 
     def coefficient(self, k: int) -> Scalar:
-        if not 1 <= k <= self.order:
-            raise IndexError(f"k must be in 1..{self.order}")
+        if not 1 <= k <= len(self.values):
+            raise IndexError(f"k must be in 1..{len(self.values)}")
         return self.values[k - 1]
 
     def __iter__(self):
@@ -150,34 +143,16 @@ def virial_coefficients(model: GasModel) -> VirialTable:
             ys = [backend.from_ratio(-m - 1, 1)] + logd[m - t:][::-1]
             logd.append(backend.dot((u[m],) + u[1:t + 1], ys) * minus_c1)
         values = tuple(logd[j] - j * q[j + 1] for j in range(k))
-    return VirialTable(
-        sf=model.sf,
-        order=model.order,
-        backend=model.backend,
-        values=values,
-        mu=mu_parameter(model.sf),
-        mu_unit_fraction=is_unit_fraction_mu(model.sf),
-        first_nonpositive_phi=_first_nonpositive_phi(model),
-    )
+    return VirialTable(values, _first_nonpositive_phi(model))
 
 
-def closed_form_virial(
-    sf: StructureFunction,
-    k: int,
-    mode: str = "corrected",
-    backend: Backend = SURD,
-) -> Scalar:
+def closed_form_virial(sf: StructureFunction, k: int, backend: Backend = SURD) -> Scalar:
     """V_k (k = 2..5) as an explicit polynomial in phi(2)..phi(5).
 
     Lagrange inversion of x = z*a(z), a = 1 + sum_{n>=2} phi(n) z**(n-1) / n**(5/2),
     gives V_k = h_(k-1) / k with h = a**(1-k); Miller's recurrence (Knuth, TAOCP
     vol. 2, 4.7) builds it as h_0 = 1, m*h_m = sum_{i=1..m} ((2-k)*i - m)*a_i*h_(m-i).
-    mode="corrected" is that value (it reproduces the known undeformed gas
-    values); mode="paper-verbatim" swaps the fifth-order third term
-    +2*phi(3)**2/3**5 for the misprinted -2*phi(3)**3/3**5, as printed.
     """
-    if mode not in ("corrected", "paper-verbatim"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not 2 <= k <= CLOSED_FORM_MAX_ORDER:
         raise UnsupportedOrderError(
             f"closed forms exist for k = 2..{CLOSED_FORM_MAX_ORDER}; use the engine for k = {k}"
@@ -188,10 +163,7 @@ def closed_form_virial(
         h = [backend.one]
         for m in range(1, k):
             h.append(sum((((2 - k) * i - m) * a[i] * h[m - i] for i in range(1, m + 1)), backend.zero) / m)
-        value = h[k - 1] / k
-        if mode == "paper-verbatim" and k == 5:
-            value -= (phi[3] ** 2 + phi[3] ** 3) * backend.from_fraction(Fraction(2, 243))
-        return value
+        return h[k - 1] / k
 
 
 def second_virial_deviation(sf: StructureFunction, backend: Backend = SURD) -> Scalar:

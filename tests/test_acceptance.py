@@ -30,7 +30,7 @@ from qvirial import (
     second_virial_deviation,
     virial_coefficients,
 )
-from qvirial.cli import main
+from qvirial.cli import _printed_fifth_virial, main
 
 from helpers import identity_series, rand_fraction, rand_positive_q, sig_agree, surd_oracle_decimal
 
@@ -88,7 +88,7 @@ def test_criterion_03_engine_equals_closed_forms():
                 sf = Interpolated(Fraction(1), mu, q)
                 table = virial_coefficients(GasModel(sf, order=5, backend=SURD))
                 for k in range(2, 6):
-                    assert table.coefficient(k) == closed_form_virial(sf, k, "corrected", SURD)
+                    assert table.coefficient(k) == closed_form_virial(sf, k, SURD)
             else:
                 t = rand_fraction(rng, lo=0, hi=1)
                 if t == 1:
@@ -96,7 +96,7 @@ def test_criterion_03_engine_equals_closed_forms():
                 sf = Interpolated(t, mu, q)
                 table = virial_coefficients(GasModel(sf, order=5, backend=DEC50))
                 for k in range(2, 6):
-                    closed = closed_form_virial(sf, k, "corrected", DEC50)
+                    closed = closed_form_virial(sf, k, DEC50)
                     assert sig_agree(table.coefficient(k), closed, 40), (sf, k)
 
 
@@ -134,12 +134,12 @@ def test_criterion_06_hamiltonian_split_identity():
             for n in range(13):
                 for i in range(order + 1):
                     expected = Fraction(math.comb(n + 1, i + 1) + math.comb(n, i + 1), 2)
-                    assert split.term(i)(n) == expected
+                    assert split[i](n) == expected
 
 
 def test_criterion_07_errata_reproduction(capsys):
     with criterion(7, 5.0, "misprinted fifth-order term flagged; engine keeps the true value"):
-        verbatim = closed_form_virial(UNDEFORMED, 5, "paper-verbatim", SURD)
+        verbatim = _printed_fifth_virial(UNDEFORMED)  # the form check-paper reports
         engine = virial_coefficients(GasModel(UNDEFORMED, order=5, backend=SURD)).coefficient(5)
         verbatim_value = surd_oracle_decimal(verbatim.terms, 30)
         engine_value = surd_oracle_decimal(engine.terms, 30)
@@ -202,4 +202,4 @@ def test_criterion_10_performance_envelope():
         assert elapsed20 < 240.0, f"K=20 took {elapsed20:.2f}s"
         print(f"    [benchmark] K=12: {elapsed12:.2f}s, K=20: {elapsed20:.2f}s (target 120s)")
         for k in range(2, 6):
-            assert table20.coefficient(k) == closed_form_virial(sf, k, "corrected", SURD)
+            assert table20.coefficient(k) == closed_form_virial(sf, k, SURD)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,27 @@ def test_virial_golden_csv(capsys):
     code, out, err = run_cli(capsys, "virial", "--sf", "mu:1/2", "--K", "3", "--format", "csv")
     assert code == 0 and err == ""
     assert out == GOLDEN_VIRIAL_CSV
+
+
+@pytest.mark.parametrize("sf, backend, tail", [
+    ("mu:1/2", "exact", "mu=1/2 mu_unit_fraction=true m=2 first_nonpositive_phi=3"),
+    ("mu:2/3", "exact", "mu=2/3 mu_unit_fraction=false first_nonpositive_phi=3"),
+    ("mu:-1/3", "exact", "mu=-1/3 mu_unit_fraction=false first_nonpositive_phi=none"),
+    ("mu-q:1/3,7/5", "exact", "mu=1/3 mu_unit_fraction=true m=3 first_nonpositive_phi=3"),
+    ("q:3/2", "exact", "first_nonpositive_phi=none"),
+    ("q-eps:order=2", "exact", "first_nonpositive_phi=none"),
+    ("q-mu:3/2,1/7", "decimal:30", "mu=1/7 mu_unit_fraction=true m=7 first_nonpositive_phi=none"),
+])
+def test_virial_mu_metadata(capsys, sf, backend, tail):
+    # the meta lines after provenance=engine, the same in csv and json
+    expected = [tuple(item.split("=")) for item in tail.split()]
+    argv = ("virial", "--sf", sf, "--K", "4", "--backend", backend)
+    _, out, _ = run_cli(capsys, *argv)
+    header = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+    assert [tuple(line.split("=", 1)) for line in header[header.index("provenance=engine") + 1:]] == expected
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    meta = list(json.loads(out)["meta"].items())
+    assert meta[meta.index(("provenance", "engine")) + 1:] == expected
 
 
 def test_virial_byte_identical_across_runs(capsys):
@@ -289,6 +311,9 @@ def test_inputs_over_the_caps_exit_2():
     assert main(["hamiltonian", "--order", "101"]) == 2
     assert main(["hamiltonian", "--order", "2", "--order-mu", "101"]) == 2
     assert main(["sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=0:1:1/2000"]) == 2
+    start = time.perf_counter()  # at the largest order, one digit more than the widest accepted --n
+    assert main(["eps-expand", "--order", "100", "--n", "1" + "0" * (cli.MAX_LEVEL_DIGITS // 100)]) == 2
+    assert time.perf_counter() - start < 0.5
     # 100 x 11 points: each sweep is under the cap, the grid is not
     assert main(["sweep", "--sf", "mu-q:0,3/2", "--K", "2",
                  "--sweep", "mu=1/100:1:1/100", "--sweep", "q=1/2:3/2:1/10"]) == 2
@@ -300,6 +325,7 @@ def test_caps_admit_their_limit():
     assert len(values) == cli.MAX_SWEEP_POINTS and values[-1] == cli.MAX_SWEEP_POINTS
     with pytest.raises(cli.UsageError):
         cli._parse_sweep_flag(f"mu=1:{cli.MAX_SWEEP_POINTS + 1}:1")
+    assert main(["eps-expand", "--order", "100", "--n", "9" * (cli.MAX_LEVEL_DIGITS // 100), "--out", os.devnull]) == 0
 
 
 def test_sweep_parameters_are_the_variant_fields(capsys):

@@ -1,6 +1,8 @@
 """The package's shape: one public surface, built from the modules' own
-export lists, and a source size kept within the ROADMAP's line budget."""
+export lists, no unused import, and a source size kept within the ROADMAP's
+line budget."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,10 @@ SRC = Path(qvirial.__file__).resolve().parent
 LOC_BUDGET = 2450
 
 PUBLIC = [
-    "DecimalBackend", "DescriptorError", "GasModel", "HamiltonianSplit", "Interpolated",
+    "DecimalBackend", "DescriptorError", "GasModel", "Interpolated",
     "MixedBackendError", "NonzeroConstantTermError", "NumberPoly", "PowerSeries", "QBasic",
     "QBasicOfQuadratic", "QBasicSeries", "QVirialError", "Quadratic", "QuadraticOfQBasic",
-    "SURD", "SurdBackend", "SurdRational", "TruncPoly", "TruncPolyBackend", "TwoParamSplit",
+    "SURD", "SurdBackend", "SurdRational", "TruncPoly", "TruncPolyBackend",
     "UNDEFORMED", "UnboundVariableError", "UnsupportedBackendError", "UnsupportedOrderError",
     "VirialTable", "ZeroLinearCoefficientError", "__version__", "basic_number",
     "closed_form_virial", "compose", "euler_inverse", "eval_eps", "eval_structure",
@@ -30,7 +32,7 @@ PUBLIC = [
 
 
 def test_package_surface_is_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 49
     assert sorted(qvirial.__all__) == PUBLIC
     assert len(set(qvirial.__all__)) == len(qvirial.__all__)
     for name in qvirial.__all__:
@@ -55,3 +57,32 @@ def test_errors_exports_exactly_the_exception_classes():
 def test_source_is_within_its_line_budget():
     lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert lines <= LOC_BUDGET, f"src/qvirial is {lines} lines, over the {LOC_BUDGET}-line budget"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in its __all__
+    (star imports and __future__ features are skipped)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_flags_only_unused_names():
+    source = "from __future__ import annotations\nimport os, os.path\nfrom math import *\n" \
+             "from fractions import Fraction\nfrom json import dumps as d, loads\n" \
+             "__all__ = ['loads']\nos.getcwd()\n"
+    assert unused_imports(source) == ["Fraction", "d"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -1,5 +1,5 @@
-"""The immutable value records: backends, structure functions, splits, gas
-models and virial tables share one contract (equality, hashing, repr,
+"""The immutable value records: backends, structure functions, gas models
+and virial tables share one contract (equality, hashing, repr,
 immutability, validated replace)."""
 
 import copy
@@ -19,8 +19,6 @@ from qvirial import (
     QuadraticOfQBasic,
     SurdBackend,
     TruncPolyBackend,
-    hamiltonian_split,
-    two_param_split,
     virial_coefficients,
 )
 
@@ -39,15 +37,10 @@ def records():
         (Interpolated(Fraction(1, 2), Fraction(1, 7), Fraction(3, 2)),
          "Interpolated(t=Fraction(1, 2), mu=Fraction(1, 7), q=Fraction(3, 2))"),
         (QBasicSeries(4), "QBasicSeries(order=4)"),
-        (hamiltonian_split(1), "HamiltonianSplit(order=1, terms=(NumberPoly('1/2 + 1*N'), NumberPoly('1/2*N^2')))"),
-        (two_param_split(1, 1),
-         "TwoParamSplit(order_eps=1, order_mu=1, terms={(0, 0): NumberPoly('1/2 + 1*N'), "
-         "(1, 0): NumberPoly('1/2*N^2'), (0, 1): NumberPoly('-1*N^2'), (1, 1): NumberPoly('-1/2*N - 1*N^3')})"),
         (GasModel(sf, order=3), "GasModel(sf=QBasic(q=Fraction(3, 2)), order=3, backend=SurdBackend())"),
         (virial_coefficients(GasModel(sf, order=3)),
-         "VirialTable(sf=QBasic(q=Fraction(3, 2)), order=3, backend=SurdBackend(), values=(SurdRational('1'), "
-         "SurdRational('-5/32*sqrt(2)'), SurdRational('25/128 - 19/162*sqrt(3)')), "
-         "mu=None, mu_unit_fraction=None, first_nonpositive_phi=None)"),
+         "VirialTable(values=(SurdRational('1'), SurdRational('-5/32*sqrt(2)'), "
+         "SurdRational('25/128 - 19/162*sqrt(3)')), first_nonpositive_phi=None)"),
     ]
 
 
@@ -55,21 +48,17 @@ def ids():
     return [type(record).__name__ for record, _ in records()]
 
 
-@pytest.mark.parametrize("index", range(13), ids=ids())
+@pytest.mark.parametrize("index", range(11), ids=ids())
 def test_records_are_values(index):
     (record, text), (twin, _) = records()[index], records()[index]
     assert record == twin and not record != twin and record is not twin
     assert repr(record) == text
     assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
     assert not hasattr(record, "__dict__")
-    if type(record).__name__ == "TwoParamSplit":
-        with pytest.raises(TypeError):  # its terms are a dict
-            hash(record)
-    else:
-        assert hash(record) == hash(twin)
+    assert hash(record) == hash(twin)
 
 
-@pytest.mark.parametrize("index", range(13), ids=ids())
+@pytest.mark.parametrize("index", range(11), ids=ids())
 def test_records_are_immutable(index):
     record, _ = records()[index]
     for name in type(record).__slots__:

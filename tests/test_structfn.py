@@ -31,7 +31,6 @@ from qvirial import (
     parse_descriptor,
     stirling_first,
 )
-from qvirial.structfn import is_unit_fraction_mu
 
 from helpers import fraction_phi, rand_positive_q, sig_agree
 
@@ -225,9 +224,6 @@ def test_quadratic_unit_fraction_cutoff():
     for m in range(1, 8):
         sf = Quadratic(Fraction(1, m))
         assert eval_structure(sf, m + 1, SURD) == 0
-        assert is_unit_fraction_mu(sf) is True
-    assert is_unit_fraction_mu(Quadratic(Fraction(2, 3))) is False
-    assert is_unit_fraction_mu(QBasic(Fraction(2))) is None
 
 
 # -- eps expansion ------------------------------------------------------------

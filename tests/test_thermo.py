@@ -40,7 +40,7 @@ from qvirial import (
     virial_coefficients,
 )
 
-from qvirial import series, thermo
+from qvirial import cli, series, thermo
 
 from helpers import (
     FractionSurd,
@@ -170,12 +170,15 @@ def test_engine_matches_corrected_closed_forms_exactly():
         sf = QuadraticOfQBasic(rand_fraction(rng), rand_positive_q(rng))
         table = virial_coefficients(GasModel(sf, order=5, backend=SURD))
         for k in range(2, 6):
-            assert table.coefficient(k) == closed_form_virial(sf, k, "corrected", SURD), (sf, k)
+            assert table.coefficient(k) == closed_form_virial(sf, k, SURD), (sf, k)
 
 
 def test_paper_verbatim_fifth_coefficient_differs():
-    verbatim = closed_form_virial(UNDEFORMED, 5, "paper-verbatim", SURD)
+    # check-paper builds the printed form and reports both values
+    verbatim = cli._printed_fifth_virial(UNDEFORMED)
     engine = virial_coefficients(GasModel(UNDEFORMED, order=5, backend=SURD)).coefficient(5)
+    differs, detail = cli._fifth_virial_discrepancy()
+    assert differs and "printed form gives -0.296300 while the engine gives -0.000004" in detail
     assert to_decimal(verbatim, 6) == "-0.296300"
     assert to_decimal(engine, 6) == "-0.000004"
     # the two differ exactly by the misprinted third term: -2*phi3^3/3^5 vs +2*phi3^2/3^5
@@ -189,13 +192,11 @@ def test_closed_form_rejects_unsupported_order():
         closed_form_virial(UNDEFORMED, 6)
     with pytest.raises(UnsupportedOrderError):
         closed_form_virial(UNDEFORMED, 1)
-    with pytest.raises(ValueError):
-        closed_form_virial(UNDEFORMED, 3, mode="guess")
 
 
 def test_closed_form_quadratic_third_coefficient_example():
     # mu = 1/2: phi(2) = 1, phi(3) = 0, so V3 = 1/32
-    value = closed_form_virial(Quadratic(frac(1, 2)), 3, "corrected", SURD)
+    value = closed_form_virial(Quadratic(frac(1, 2)), 3, SURD)
     assert value == SurdRational.from_fraction(frac(1, 32))
 
 
@@ -204,11 +205,9 @@ def test_paper_verbatim_differs_from_corrected_only_by_the_fifth_order_misprint(
     for _ in range(40):
         mu, q = rand_fraction(rng), rand_positive_q(rng)
         sf = QuadraticOfQBasic(mu, q)
-        for k in range(2, 5):
-            assert closed_form_virial(sf, k, "paper-verbatim") == closed_form_virial(sf, k), (sf, k)
         basic3 = 1 + q + q * q
         phi3 = (1 + mu) * basic3 - mu * basic3 * basic3
-        delta = closed_form_virial(sf, 5) - closed_form_virial(sf, 5, "paper-verbatim")
+        delta = closed_form_virial(sf, 5) - cli._printed_fifth_virial(sf)
         assert delta == frac(2, 243) * (phi3**2 + phi3**3), sf
 
 
@@ -221,8 +220,7 @@ def test_closed_forms_share_no_code_with_the_series_engine(monkeypatch):
         (QBasicSeries(3), TruncPolyBackend(3)),
         (Interpolated(frac(1, 3), frac(1, 4), frac(3, 2)), DEC50),
     ]
-    modes = ("corrected", "paper-verbatim")
-    expected = [closed_form_virial(sf, k, mode, b) for sf, b in cases for k in range(2, 6) for mode in modes]
+    expected = [closed_form_virial(sf, k, b) for sf, b in cases for k in range(2, 6)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("closed forms must not call qvirial.series")
@@ -239,7 +237,7 @@ def test_closed_forms_share_no_code_with_the_series_engine(monkeypatch):
         monkeypatch.setattr(cls, "dot", one_term_dot)
     with pytest.raises(AssertionError):
         virial_coefficients(GasModel(UNDEFORMED, order=3, backend=SURD))
-    got = [closed_form_virial(sf, k, mode, b) for sf, b in cases for k in range(2, 6) for mode in modes]
+    got = [closed_form_virial(sf, k, b) for sf, b in cases for k in range(2, 6)]
     assert got == expected
 
 
@@ -277,7 +275,7 @@ def test_engine_matches_closed_forms_on_decimal_backend():
     sf = Interpolated(frac(1, 3), frac(1, 4), frac(3, 2))
     table = virial_coefficients(GasModel(sf, order=5, backend=DEC50))
     for k in range(2, 6):
-        closed = closed_form_virial(sf, k, "corrected", DEC50)
+        closed = closed_form_virial(sf, k, DEC50)
         assert sig_agree(table.coefficient(k), closed, 40), k
 
 
@@ -362,15 +360,11 @@ def test_deviation_pure_compositeness_limit():
 
 
 def test_mu_unit_fraction_metadata():
+    # the table keeps the cutoff; the CLI reports mu itself (tests/test_cli.py)
     table = virial_coefficients(GasModel(Quadratic(frac(1, 2)), order=4, backend=SURD))
-    assert table.mu == frac(1, 2)
-    assert table.mu_unit_fraction is True
     assert table.first_nonpositive_phi == 3  # phi(3) = 0 at mu = 1/2
     flat = virial_coefficients(GasModel(UNDEFORMED, order=4, backend=SURD))
-    assert flat.mu_unit_fraction is False
     assert flat.first_nonpositive_phi is None
-    pure_q = virial_coefficients(GasModel(QBasic(frac(2)), order=3, backend=SURD))
-    assert pure_q.mu is None and pure_q.mu_unit_fraction is None
 
 
 def test_gas_model_requires_order_two():
@@ -393,9 +387,9 @@ def test_eps_virial_table_polynomials():
     assert v3.coefficient(2) == SurdRational({1: frac(1, 32), 3: frac(-2, 81)})
     assert table.first_nonpositive_phi is None
     # closed forms evaluate on the same backend and must agree
-    assert closed_form_virial(QBasicSeries(2), 3, "corrected", backend) == v3
+    assert closed_form_virial(QBasicSeries(2), 3, backend) == v3
     for k in range(2, 6):
-        assert closed_form_virial(QBasicSeries(2), k, "corrected", backend) == table.coefficient(k), k
+        assert closed_form_virial(QBasicSeries(2), k, backend) == table.coefficient(k), k
 
 
 def test_qbasic_of_quadratic_rejected_on_exact_backend():
