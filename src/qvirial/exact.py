@@ -18,10 +18,11 @@ A backend turns a rational into a scalar in one place, `from_ratio(num, den)`
 (den > 0, not necessarily reduced); `from_fraction` delegates to it.
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
-equally long; the surd `dot` sums integer numerators over one running common
-denominator and normalizes once per sum, not once per term.  Its cost is one
-radicand-product table lookup per radicand pair of a term, none for radicand
-1, with the operand that has fewer radicands outside.
+equally long; the surd `dot` scales each nonzero term once to the lcm of
+their denominator products, sums integer numerators over it and normalizes
+once per sum, not once per term.  Its cost is one radicand-product table
+lookup per radicand pair of a term, none for radicand 1, with the operand
+that has fewer radicands outside.
 
 Values are immutable and the operations are pure functions, so everything
 here is safe to share between threads.
@@ -452,23 +453,19 @@ class SurdBackend(_Backend):
         return SurdRational.from_fraction(Fraction(1) / scalar.rational_part())
 
     def dot(self, xs, ys) -> SurdRational:
-        """sum_i xs[i]*ys[i] for equally long xs, ys, normalized once.  Per
-        term the operand with fewer radicands runs outside; an outer radicand 1
-        adds n1*n2 straight into the inner key, any other fetches its row of
-        the radicand-product table once and makes one lookup per pair."""
-        acc, den = {}, 1
-        for x, y in zip(xs, ys, strict=True):
-            xn, yn = x._num, y._num
-            if not (xn and yn):
-                continue
-            d = x._den * y._den
-            if den % d:  # rescale the accumulator to a common multiple of d
-                s = d // math.gcd(den, d)
-                acc, den = {r: n * s for r, n in acc.items()}, den * s
-            s = den // d
+        """sum_i xs[i]*ys[i] for equally long xs, ys, over the lcm of the
+        nonzero terms' denominator products, normalized once.  Per term the operand
+        with fewer radicands runs outside; an outer radicand 1 adds n1*n2
+        straight into the inner key, any other fetches its row of the
+        radicand-product table once and adds n1*n2*g per pair."""
+        terms = [(x._num, y._num, x._den * y._den) for x, y in zip(xs, ys, strict=True) if x._num and y._num]
+        den = math.lcm(*[d for _, _, d in terms])
+        acc = {}
+        get = acc.get
+        for xn, yn, d in terms:
             if len(xn) > len(yn):
                 xn, yn = yn, xn
-            get = acc.get  # bound after the rescale, which replaces acc
+            s = den // d
             for r1, n1 in xn.items():
                 n1 *= s
                 if r1 == 1:
@@ -482,10 +479,7 @@ class SurdBackend(_Backend):
                     except KeyError:
                         g = math.gcd(r1, r2)
                         rad, g = row[r2] = (r1 // g) * (r2 // g), g
-                    if g == 1:
-                        acc[rad] = get(rad, 0) + n1 * n2
-                    else:
-                        acc[rad] = get(rad, 0) + n1 * n2 * g
+                    acc[rad] = get(rad, 0) + n1 * n2 * g
         return _surd(acc, den)
 
     def describe(self) -> str:

@@ -1,6 +1,9 @@
 """Command-line interface: golden outputs, determinism, exit codes, schemas."""
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qvirial import cli, errors, exact
 from qvirial.cli import main
@@ -66,6 +70,18 @@ def test_virial_mu_metadata(capsys, sf, backend, tail):
     assert meta[meta.index(("provenance", "engine")) + 1:] == expected
 
 
+@pytest.mark.parametrize("sf, order, digest", [
+    ("q:5/3", "40", "be6a8b9f4171585891b40b92decc9de4548c879c7c755d37605da4226198074c"),
+    ("mu-q:1/3,7/5", "32", "396bd8dd37eb775ec28e62f96efbd0c0477e36c85f157a7a40b7f0ac70ff1bb2"),
+    ("mu:-1/3", "32", "d19750ffd6a1b1dbe8a19f68b36b06e7042f746db3a40b5b6e158d109e390081"),
+], ids=["q-K40", "mu-q-K32", "mu-K32"])
+def test_deep_exact_tables_are_byte_pinned(capsys, sf, order, digest):
+    # exact tables past K = 20, where the surd dot sums hundreds of radicands
+    code, out, err = run_cli(capsys, "virial", "--sf", sf, "--K", order)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_virial_byte_identical_across_runs(capsys):
     args = ("virial", "--sf", "mu-q:1/4,3/2", "--K", "6", "--format", "csv")
     _, first, _ = run_cli(capsys, *args)
@@ -119,6 +135,75 @@ def test_exit_codes():
     assert main(["virial", "--sf", "t:1/2;t:1;mu:1/4;q:3/2", "--K", "3"]) == 2
     assert main(["virial", "--sf", "q-mu:3/2,1/4", "--backend", "exact", "--K", "3"]) == 3
     assert main(["virial", "--sf", "q-eps:order=3", "--backend", "decimal:20", "--K", "3"]) == 3
+
+
+# -- a grammar fuzz: every argv ends in an exit code, never a traceback ----------
+# Each slot draws a valid value three times as often as a malformed one, so that
+# many jobs run.  K, digit budgets and parameters stay small, so that every job
+# is quick; 10**30 and the values just past the caps probe the input checks.
+
+
+def _mostly(valid, malformed):
+    return st.sampled_from(valid * 3 + malformed)
+
+
+_RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"], ["1/0", "3.5", str(10**30), "x", ""])
+_BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), "x"])
+_DESCRIPTORS = st.one_of(
+    st.tuples(st.sampled_from(["q", "mu", "mu-q", "q-mu", "frob"]),
+              st.lists(_RATIONALS, min_size=1, max_size=2).map(",".join)).map(":".join),
+    st.tuples(_RATIONALS, st.lists(st.tuples(_mostly(["mu", "q"], ["t", "x"]), _RATIONALS), min_size=1, max_size=3))
+    .map(lambda first_rest: "t:" + first_rest[0] + "".join(f";{k}:{v}" for k, v in first_rest[1])),
+    _mostly(["order=0", "order=2", "order=5"], ["order=-1", "order=x", "order=", "ord=2", "order=1=2"])
+    .map("q-eps:".__add__),
+    st.sampled_from(["mu", "", ":", "q:"]),
+)
+_ORDERS = _mostly(["2", "3", "4", "6"], ["-1", "0", "1", "101", "x", "3.5"])
+_BACKENDS = _mostly(["exact", "decimal:1", "decimal:12", "decimal:30"],
+                    ["decimal:0", "decimal:-5", "decimal:x", "decimal:1001", "decimal", "float", ""])
+_SWEEPS = st.one_of(
+    st.tuples(_mostly(["mu", "q", "t"], ["x", ""]), _BOUNDS, _BOUNDS, _BOUNDS).map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}"),
+    st.sampled_from(["mu=0:1", "mu", "=0:1:1", "q=0:1:1:1"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.sampled_from([True, True, True, False])):
+            argv.extend([flag, draw(values)])
+
+    if command in ("virial", "series", "sweep"):
+        maybe("--sf", _DESCRIPTORS)
+        argv.extend(["--K", draw(_ORDERS)])  # always drawn: the default K is 8
+        maybe("--backend", _BACKENDS)
+    if command == "sweep":
+        for text in draw(st.lists(_SWEEPS, max_size=2)):
+            argv.extend(["--sweep", text])
+    if command in ("eps-expand", "hamiltonian"):
+        maybe("--order", _ORDERS)
+    if command == "eps-expand":
+        maybe("--n", _mostly(["0", "3", str(10**30)], ["-1", "x"]))
+    if command == "hamiltonian":
+        maybe("--order-mu", _ORDERS)
+    maybe("--format", _mostly(["csv", "json", "pretty"], ["xml"]))
+    maybe("--out", st.just(os.devnull))
+    argv.extend(draw(st.sampled_from([[]] * 12 + [["extra"], ["--K"], ["-h"], ["--version"]])))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
 
 
 def test_decimal_overflow_is_a_backend_error(capsys):

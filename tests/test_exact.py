@@ -498,7 +498,7 @@ def _pairs_st(elements):
 
 # multi-radicand sums with zeros; radicands 2, 3, 6, 10, 15 merge in products
 # (sqrt(6)*sqrt(2) = 2*sqrt(3)), and denominators up to 12 include pairs such
-# as 8 and 12 where neither divides the other, so the accumulator is rescaled
+# as 8 and 12 where neither divides the other, so their lcm exceeds both
 @given(_pairs_st(st.one_of(st.just(SurdRational()), surds_st)))
 @example(([], []))
 @example((  # denominators 8 then 12, sqrt(6)*sqrt(2) = 2*sqrt(3), a zero term, and a
@@ -517,9 +517,9 @@ def _pairs_st(elements):
 # radicands that share a prime: sqrt(6)*sqrt(10) = 2*sqrt(15), sqrt(15)*sqrt(35) = 5*sqrt(21)
 @example(([SurdRational({6: Fraction(1, 2)}), SurdRational({15: 1})],
           [SurdRational({10: Fraction(1, 3)}), SurdRational({35: Fraction(-2, 7)})]))
-# one-radicand terms over 8, then 12 and 5, which rescale the accumulator; each
-# later term adds into the same sqrt(2) key, once by the radicand-1 path and
-# once by a table row (sqrt(3)*sqrt(6) = 3*sqrt(2))
+# one-radicand terms over 8, 12 and 5, each scaled to their lcm 120; the later
+# terms add into the same sqrt(2) key, once by the radicand-1 path and once by
+# a table row (sqrt(3)*sqrt(6) = 3*sqrt(2))
 @example(([SurdRational({1: Fraction(1, 8)}), SurdRational({1: Fraction(1, 12)}),
            SurdRational({3: Fraction(1, 5)})],
           [SurdRational({2: 1}), SurdRational({2: 1}), SurdRational({6: 1})]))

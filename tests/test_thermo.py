@@ -392,6 +392,19 @@ def test_eps_virial_table_polynomials():
         assert closed_form_virial(QBasicSeries(2), k, backend) == table.coefficient(k), k
 
 
+@pytest.mark.parametrize("order, q", [(8, frac(5, 3)), (10, frac(-2, 7)), (12, frac(3))])
+def test_eps_tables_at_eps_q_minus_one_are_the_surd_tables(order, q):
+    # V_k has degree at most k - 1 in q, so the eps table truncated at K - 1
+    # evaluated at eps = q - 1 is the q: table exactly: the TruncPoly and surd
+    # rings checked against each other
+    backend = TruncPolyBackend(order - 1)
+    eps_table = virial_coefficients(GasModel(QBasicSeries(order - 1), order=order, backend=backend))
+    surd_table = virial_coefficients(GasModel(QBasic(q), order=order, backend=SURD))
+    eps = q - 1
+    evaluated = tuple(sum((c * eps**i for i, c in poly.coeffs.items()), SURD.zero) for poly in eps_table.values)
+    assert evaluated == surd_table.values
+
+
 def test_qbasic_of_quadratic_rejected_on_exact_backend():
     model = GasModel(QBasicOfQuadratic(frac(3, 2), frac(1, 4)), order=3, backend=SURD)
     with pytest.raises(UnsupportedBackendError):
