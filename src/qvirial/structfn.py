@@ -22,12 +22,15 @@ A rational variant's descriptor is its class attribute `kind` and its field
 values in field order, `mu-q:1/4,3/2`; Interpolated names each field,
 `t:1/2;mu:1/4;q:3/2`.  QBasicSeries is `q-eps:order=N`.
 
-`eval_structure` evaluates any variant on a backend; the rational ones form
-phi(n) as one unreduced integer ratio, with [n]_q = (b**n - a**n) /
-(b**(n-1) * (b-a)) for q = a/b, which the backend converts once.  On the
-decimal backend QBasicOfQuadratic takes q**e as q**floor(e) * exp(f*ln q),
-f = frac(e): one exp per distinct f, cached per (q, mu, backend).  `eval_eps`
-and `monomial_expansion` expose the eps-expansion of the basic number in the
+`eval_structure` evaluates any variant on a backend from the record's own
+fields.  One integer route, `_phi_ratio`, forms phi(n) of the rational
+variants, and Interpolated's QuadraticOfQBasic leg, as one unreduced integer
+ratio, with [n]_q = (b**n - a**n) / (b**(n-1) * (b-a)) for q = a/b, which the
+backend converts once.  On the decimal backend the QBasicOfQuadratic leg
+splits its exponent e = n*(d + m - m*n)/d, mu = m/d, by integer divmod into
+floor(e) and f = frac(e), and takes q**e as q**floor(e) * exp(f*ln q): one exp
+per distinct f, cached per (q, mu, backend).  `eval_eps` and
+`monomial_expansion` expose the eps-expansion of the basic number in the
 binomial and monomial bases (the latter by signed Stirling numbers).
 """
 
@@ -55,28 +58,11 @@ __all__ = [
     "Interpolated",
     "QBasicSeries",
     "UNDEFORMED",
-    "basic_number",
-    "quadratic_number",
     "eval_structure",
     "eval_eps",
     "monomial_expansion",
-    "stirling_first",
     "parse_descriptor",
 ]
-
-
-def basic_number(q: Fraction, n: int) -> Fraction:
-    """[n]_q = 1 + q + ... + q**(n-1) = (1 - q**n)/(1 - q) (exact, q = 1 allowed)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Fraction(n) if q == 1 else Fraction(1 - q**n, 1 - q)
-
-
-def quadratic_number(mu: Fraction, n: int) -> Fraction:
-    """(1+mu)*n - mu*n**2, the quadratically deformed number."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (1 + mu) * n - mu * n * n
 
 
 class _Rational(Frozen):
@@ -169,8 +155,9 @@ StructureFunction = (
 UNDEFORMED = Quadratic(Fraction(0))
 
 
-def _phi_ratio(sf: QBasic | Quadratic | QuadraticOfQBasic, n: int) -> tuple[int, int]:
-    """phi(n) as an unreduced integer ratio u/v with v > 0."""
+def _phi_ratio(sf: QBasic | Quadratic | QuadraticOfQBasic | Interpolated, n: int) -> tuple[int, int]:
+    """phi(n) as an unreduced integer ratio u/v with v > 0; on Interpolated,
+    its QuadraticOfQBasic leg."""
     u, v = n, 1  # [n]_q at q = 1, and the quadratic variant's argument
     if not isinstance(sf, Quadratic) and sf.q != 1 and n:
         a, b = sf.q.as_integer_ratio()  # [n]_q = (b**n - a**n) / (b**(n-1) * (b-a))
@@ -192,37 +179,30 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic)):
-        return backend.from_ratio(*_phi_ratio(sf, n))
     if isinstance(sf, QBasicSeries):
         if not isinstance(backend, TruncPolyBackend):
             raise UnsupportedBackendError(
                 "QBasicSeries evaluates only on a TruncPoly backend in eps"
             )
         return eval_eps(n, min(sf.order, backend.order), bound=backend.order)
-    if isinstance(sf, Interpolated) and sf.t == 1:
-        return eval_structure(QuadraticOfQBasic(sf.mu, sf.q), n, backend)
-    if isinstance(sf, (QBasicOfQuadratic, Interpolated)):
+    if isinstance(sf, QBasicOfQuadratic) or isinstance(sf, Interpolated) and sf.t != 1:
         if not isinstance(backend, DecimalBackend):
             raise UnsupportedBackendError(
                 f"{sf.describe()} needs the decimal backend: rational powers of q leave the exact ring"
             )
         with backend.arith():
+            m, d = sf.mu.as_integer_ratio()  # the exponent (1+mu)*n - mu*n**2 over d
+            whole, rem = divmod(n * (d + m - m * n), d)
+            q_dec = backend.from_fraction(sf.q)
+            power = q_dec ** whole * _fractional_powers(sf.q, sf.mu, backend)(Fraction(rem, d))
+            leg = (1 - power) / (1 - q_dec)
             if isinstance(sf, QBasicOfQuadratic):
-                return _qbasic_of_quadratic_decimal(sf, n, backend)
-            part_a = backend.from_ratio(*_phi_ratio(QuadraticOfQBasic(sf.mu, sf.q), n))
-            part_b = _qbasic_of_quadratic_decimal(QBasicOfQuadratic(sf.q, sf.mu), n, backend)
+                return leg
             t = backend.from_fraction(sf.t)
-            return t * part_a + (1 - t) * part_b
+            return t * backend.from_ratio(*_phi_ratio(sf, n)) + (1 - t) * leg
+    if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic, Interpolated)):
+        return backend.from_ratio(*_phi_ratio(sf, n))
     raise TypeError(f"unknown structure function {type(sf).__name__}")
-
-
-def _qbasic_of_quadratic_decimal(sf: QBasicOfQuadratic, n: int, backend: DecimalBackend):
-    exponent = quadratic_number(sf.mu, n)
-    whole = math.floor(exponent)
-    q_dec = backend.from_fraction(sf.q)
-    power = q_dec ** whole * _fractional_powers(sf.q, sf.mu, backend)(exponent - whole)
-    return (1 - power) / (1 - q_dec)
 
 
 @lru_cache(maxsize=1)
@@ -246,13 +226,6 @@ def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:
     bound = order if bound is None else bound
     coeffs = {i: Fraction(math.comb(n, i + 1)) for i in range(min(order, n - 1) + 1)}
     return TruncPoly(bound, coeffs)
-
-
-def stirling_first(m: int, k: int) -> int:
-    """Signed Stirling numbers of the first kind: x(x-1)...(x-m+1) = sum_k s(m,k) x**k."""
-    if m < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    return _stirling_rows(m)[m][k] if k <= m else 0
 
 
 def _stirling_rows(m: int) -> list[list[int]]:

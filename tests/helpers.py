@@ -1,9 +1,10 @@
 """Shared test utilities: independent decimal oracles, comparison helpers, the
 identity series, operator-per-term references for series products, reversion
 and composition (Horner), a Fraction-per-term reference for the surd ring, a
-Lagrange-Buermann virial oracle on it, a hypothesis strategy for one-radicand
-surds, and Fraction-list references for the ladder splits, the rational
-structure functions and polynomial evaluation."""
+Lagrange-Buermann virial oracle on it, the same oracle on images of the surd
+ring in F_{P^2} for deep tables, a hypothesis strategy for one-radicand surds,
+and Fraction-list references for the ladder splits, the rational structure
+functions and polynomial evaluation."""
 
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -223,6 +224,97 @@ def lagrange_virials(sf, order: int) -> list:
         if k < order:
             power = _convolve_surd(power, h)
     return values
+
+
+# Images of surd tables in F_{P^2}: a randomized identity test (Schwartz) for
+# exact tables past the reach of lagrange_virials.
+
+#: Mersenne primes, each 3 mod 4: -1 is a non-residue, so F_{P^2} = F_P[t]/(t**2 + 1).
+FP2_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+class Fp2Embedding:
+    """A ring map from the surd ring into F_{P^2}, elements as pairs a + b*t.
+
+    sqrt(p) for a prime p goes to +-p**((P+1)/4) when p is a residue mod P, and
+    to +-t*(-p)**((P+1)/4) when it is not, each sign drawn once from `rng`; a
+    rational goes to num * den**-1, raising ZeroDivisionError when P | den."""
+
+    def __init__(self, prime: int, rng: random.Random) -> None:
+        self.prime, self.rng, self.roots = prime, rng, {}
+
+    def add(self, x, y):
+        return (x[0] + y[0]) % self.prime, (x[1] + y[1]) % self.prime
+
+    def mul(self, x, y):
+        return (x[0] * y[0] - x[1] * y[1]) % self.prime, (x[0] * y[1] + x[1] * y[0]) % self.prime
+
+    def rational(self, c: Fraction):
+        if c.denominator % self.prime == 0:
+            raise ZeroDivisionError(f"{self.prime} divides the denominator of {c}")
+        return c.numerator * pow(c.denominator, -1, self.prime) % self.prime, 0
+
+    def prime_root(self, p: int):
+        if p not in self.roots:
+            P, sign = self.prime, self.rng.choice((1, -1))
+            if pow(p, (P - 1) // 2, P) == 1:
+                self.roots[p] = sign * pow(p, (P + 1) // 4, P) % P, 0
+            else:
+                self.roots[p] = 0, sign * pow(-p, (P + 1) // 4, P) % P
+        return self.roots[p]
+
+    def sqrt(self, n: int):
+        """The image of sqrt(n), n >= 1, as the product over n's prime factors."""
+        out, p = (1, 0), 2
+        while n > 1:
+            while n % p == 0:
+                out, n = self.mul(out, self.prime_root(p)), n // p
+            p += 1
+        return out
+
+    def image(self, terms: dict[int, Fraction]):
+        """sum_r c_r*sqrt(r) from a surd's `terms` map."""
+        total = (0, 0)
+        for r, c in terms.items():
+            total = self.add(total, self.mul(self.rational(c), self.sqrt(r)))
+        return total
+
+
+def fp2_virials(sf, order: int, emb: Fp2Embedding) -> list:
+    """Images of V_1..V_order under `emb`, sharing no code with qvirial:
+    a_i = phi(i+1)/(i+1)**(5/2) with phi from fraction_phi, H = 1/a and
+    V_k = [z**(k-1)] H**(k-1) / k, the powers by plain convolutions."""
+    a = [emb.mul(emb.rational(fraction_phi(sf, n) / n**3), emb.sqrt(n)) for n in range(1, order + 1)]
+    assert a[0] == (1, 0)
+    h = [(1, 0)]
+    for m in range(1, order):
+        total = (0, 0)
+        for i in range(1, m + 1):
+            total = emb.add(total, emb.mul(a[i], h[m - i]))
+        h.append((-total[0] % emb.prime, -total[1] % emb.prime))
+    values, power = [(1, 0)], h  # power = H**(k-1)
+    for k in range(2, order + 1):
+        values.append(emb.mul(power[k - 1], emb.rational(Fraction(1, k))))
+        if k < order:
+            product = [(0, 0)] * len(h)
+            for i, x in enumerate(power):
+                for j in range(len(h) - i):
+                    product[i + j] = emb.add(product[i + j], emb.mul(x, h[j]))
+            power = product
+    return values
+
+
+def fp2_table_images(sf, tables: list, rng: random.Random) -> tuple[list, list]:
+    """(images of the `terms` maps in `tables`, fp2_virials) under one embedding
+    drawn from `rng`, the prime redrawn from FP2_PRIMES while it divides a
+    denominator."""
+    for prime in FP2_PRIMES:
+        emb = Fp2Embedding(prime, rng)
+        try:
+            return [emb.image(terms) for terms in tables], fp2_virials(sf, len(tables), emb)
+        except ZeroDivisionError:
+            continue
+    raise ZeroDivisionError("every prime in FP2_PRIMES divides a denominator")
 
 
 # Polynomials in N as plain coefficient lists [c_0, c_1, ...] of Fractions,

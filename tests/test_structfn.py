@@ -24,13 +24,14 @@ from qvirial import (
     TruncPolyBackend,
     UNDEFORMED,
     UnsupportedBackendError,
-    basic_number,
     eval_eps,
     eval_structure,
     monomial_expansion,
     parse_descriptor,
-    stirling_first,
 )
+
+from qvirial import errors
+from qvirial.structfn import _stirling_rows
 
 from helpers import fraction_phi, rand_positive_q, sig_agree
 
@@ -69,14 +70,16 @@ def test_eval_quadratic_cutoff():
 
 def test_eval_combined_example():
     # [2]_q = 3 at q = 2, then (3/2)*3 - (1/2)*9 = 0
-    assert basic_number(Fraction(2), 2) == 3
+    assert eval_structure(QuadraticOfQBasic(Fraction(0), Fraction(2)), 2, SURD) == 3
     assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, SURD) == 0
 
 
 def test_basic_number_is_the_geometric_sum():
+    # [n]_q is QuadraticOfQBasic at mu = 0, the one variant that takes q = 1
     for q in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(3, 2), Fraction(7, 5)):
         for n in range(13):
-            assert basic_number(q, n) == sum((q**i for i in range(n)), Fraction(0)), (q, n)
+            expected = sum((q**i for i in range(n)), Fraction(0))
+            assert eval_structure(QuadraticOfQBasic(Fraction(0), q), n, SURD) == expected, (q, n)
 
 
 def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
@@ -98,6 +101,39 @@ def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
                 power = q_dec ** math.floor(e) * fraction
                 expected = (1 - power) / (1 - q_dec)
             assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected, (q, mu, digits, n)
+
+
+@given(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=12).filter(lambda q: q != 1),
+       st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+       st.integers(0, 40), st.sampled_from([DecimalBackend(20), DecimalBackend(50)]))
+@settings(max_examples=60, deadline=None)
+def test_qbasic_of_quadratic_splits_negative_and_positive_exponents(q, mu, n, backend):
+    # e = (1+mu)*n - mu*n**2 in Fractions, negative for mu > 0 at large n;
+    # the same Decimal steps as the engine, in the backend's context
+    e = (1 + mu) * n - mu * n * n
+    whole = math.floor(e)
+    with backend.arith():
+        q_dec = backend.from_fraction(q)
+        power = q_dec ** whole * (backend.from_fraction(e - whole) * q_dec.ln()).exp()
+        expected = (1 - power) / (1 - q_dec)
+    assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected
+
+
+def test_decimal_legs_build_no_records(monkeypatch):
+    # phi reads q, mu and t from the record it is given: evaluating builds
+    # no other structure function (nor any other Frozen record)
+    models = [
+        Interpolated(Fraction(1, 3), Fraction(1, 4), Fraction(3, 2)),
+        Interpolated(Fraction(1), Fraction(1, 4), Fraction(3, 2)),
+        QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)),
+    ]
+    calls = []
+    original = errors.Frozen._set
+    monkeypatch.setattr(errors.Frozen, "_set", lambda self, *values: calls.append(self) or original(self, *values))
+    for sf in models:
+        for n in range(21):
+            eval_structure(sf, n, DEC50)
+    assert calls == []
 
 
 @pytest.mark.parametrize("digits", [50, 200])
@@ -202,7 +238,7 @@ def test_qbasic_of_quadratic_mu_zero_limit_matches_qbasic():
     q = Fraction(3, 2)
     for n in range(0, 7):
         lhs = eval_structure(QBasicOfQuadratic(q, Fraction(0)), n, DEC50)
-        rhs = DEC50.from_fraction(basic_number(q, n))
+        rhs = DEC50.from_fraction(sum((q**i for i in range(n)), Fraction(0)))
         assert sig_agree(lhs, rhs, 45) or lhs == rhs
 
 
@@ -247,7 +283,7 @@ def test_eval_eps_substitution_matches_qbasic():
         n = rng.randint(0, 9)
         poly = eval_eps(n, order=max(n - 1, 0))
         value = sum((c * (q - 1) ** i for i, c in poly.coeffs.items()), SurdRational())
-        assert value == SurdRational.from_fraction(basic_number(q, n))
+        assert value == SurdRational.from_fraction(sum((q**i for i in range(n)), Fraction(0)))
 
 
 def test_eval_eps_via_eval_structure_backend():
@@ -290,28 +326,26 @@ def test_stirling_rows_match_the_falling_factorial():
     # coefficients of x(x-1)...(x-m+1), expanded one linear factor at a time
     coeffs = [1]
     for m in range(31):
-        assert [stirling_first(m, k) for k in range(m + 2)] == coeffs + [0], m
+        assert _stirling_rows(m)[m] == coeffs, m
         coeffs = [0] + coeffs  # times x
         for k in range(len(coeffs) - 1):
             coeffs[k] -= m * coeffs[k + 1]
-    table = monomial_expansion(30, 31)
+    table, rows = monomial_expansion(30, 31), _stirling_rows(31)
     for i in range(31):
         for k in range(1, i + 2):
-            value = Fraction(stirling_first(i + 1, k), math.factorial(i + 1))
+            value = Fraction(rows[i + 1][k], math.factorial(i + 1))
             assert table.get((k, i), Fraction(0)) == value
 
 
 def test_stirling_first_small_table():
-    # rows m = 0..4 of signed Stirling numbers of the first kind
-    expected = {
-        (1, 1): 1,
-        (2, 1): -1, (2, 2): 1,
-        (3, 1): 2, (3, 2): -3, (3, 3): 1,
-        (4, 1): -6, (4, 2): 11, (4, 3): -6, (4, 4): 1,
-    }
-    for (m, k), value in expected.items():
-        assert stirling_first(m, k) == value
-    assert stirling_first(3, 5) == 0
+    # rows m = 0..4 of signed Stirling numbers of the first kind, s(m, 0..m)
+    assert _stirling_rows(4) == [
+        [1],
+        [0, 1],
+        [0, -1, 1],
+        [0, 2, -3, 1],
+        [0, -6, 11, -6, 1],
+    ]
 
 
 def test_monomial_expansion_printed_rows():

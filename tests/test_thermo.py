@@ -1,6 +1,7 @@
 """Deformed gas pipeline: series coefficients, engine virial tables against
 closed forms, deviation limits, limit consistency, and backend agreement."""
 
+import functools
 import math
 import random
 from decimal import Decimal
@@ -44,6 +45,7 @@ from qvirial import cli, series, thermo
 
 from helpers import (
     FractionSurd,
+    fp2_table_images,
     horner_compose,
     lagrange_virials,
     loop_revert,
@@ -420,6 +422,53 @@ def test_engine_matches_the_lagrange_buermann_oracle(descriptor, order):
     sf = parse_descriptor(descriptor)
     table = virial_coefficients(GasModel(sf, order=order, backend=SURD))
     assert [FractionSurd(v.terms) for v in table.values] == lagrange_virials(sf, order)
+
+
+# -- deeper still: images in F_{P^2} ----------------------------------------------------
+
+# the tables that tests/test_cli.py byte-pins, past lagrange_virials' K = 20
+DEEP_TABLES = [("q:5/3", 40), ("mu-q:1/3,7/5", 32), ("mu:-1/3", 32)]
+
+
+@functools.cache
+def deep_table(descriptor: str, order: int) -> tuple:
+    return virial_coefficients(GasModel(parse_descriptor(descriptor), order=order, backend=SURD)).values
+
+
+@pytest.mark.parametrize("descriptor, order", DEEP_TABLES, ids=[d for d, _ in DEEP_TABLES])
+def test_deep_tables_equal_the_fp2_oracle_under_two_embeddings(descriptor, order):
+    sf, rng = parse_descriptor(descriptor), random.Random(order)
+    tables = [v.terms for v in deep_table(descriptor, order)]
+    first, second = fp2_table_images(sf, tables, rng), fp2_table_images(sf, tables, rng)
+    assert first[0] == first[1]
+    assert second[0] == second[1]
+    assert first[0] != second[0]  # the two embeddings differ
+
+
+@pytest.mark.parametrize("descriptor, order", DEEP_TABLES, ids=[d for d, _ in DEEP_TABLES])
+def test_fp2_oracle_detects_one_changed_numerator(descriptor, order):
+    # V_K + 1/den on its largest radicand, den the common denominator of V_K
+    tables = [v.terms for v in deep_table(descriptor, order)]
+    last = tables[-1]
+    last[max(last)] += Fraction(1, math.lcm(*(c.denominator for c in last.values())))
+    engine, oracle = fp2_table_images(parse_descriptor(descriptor), tables, random.Random(order))
+    assert engine[:-1] == oracle[:-1]
+    assert engine[-1] != oracle[-1]
+
+
+small_rationals = st.fractions(min_value=-2, max_value=3, max_denominator=7)
+
+
+@given(st.one_of(
+           small_rationals.filter(lambda q: q != 1).map(QBasic),
+           small_rationals.map(Quadratic),
+           st.builds(QuadraticOfQBasic, small_rationals, small_rationals)),
+       st.integers(2, 24), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_exact_tables_equal_the_fp2_oracle(sf, order, rng):
+    tables = [v.terms for v in virial_coefficients(GasModel(sf, order=order, backend=SURD)).values]
+    engine, oracle = fp2_table_images(sf, tables, rng)
+    assert engine == oracle
 
 
 # -- half-order reversion: the table equals P(z(x)) / x exactly ------------------------
