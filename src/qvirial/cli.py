@@ -24,7 +24,6 @@ from .exact import (
     SurdRational,
     TruncPoly,
     TruncPolyBackend,
-    half_power,
     to_decimal,
 )
 from .perturb import hamiltonian_split, two_param_split
@@ -121,7 +120,7 @@ def _parse_backend_flag(text: str) -> Backend:
     if text == "exact":
         return SURD
     if text == "decimal":
-        return DecimalBackend(50)
+        return DecimalBackend()
     if text.startswith("decimal:"):
         digits = text.split(":", 1)[1]
         try:
@@ -352,7 +351,7 @@ def _check_undeformed_anchors() -> bool:
 def _check_quadratic_second_virial() -> bool:
     for mu in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
         table = virial_coefficients(GasModel(Quadratic(mu), order=2, backend=SURD))
-        if table.coefficient(2) != -half_power(2, 5) * (1 - mu):
+        if table.coefficient(2) != -SURD.half_power(2, 5) * (1 - mu):
             return False
     return True
 
@@ -361,10 +360,10 @@ def _check_deviation_limits() -> bool:
     qs = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(2), Fraction(3)]
     mus = [Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     for q in qs:
-        if second_virial_deviation(QuadraticOfQBasic(Fraction(0), q)) != half_power(2, 7) * (1 - q):
+        if second_virial_deviation(QuadraticOfQBasic(Fraction(0), q)) != SURD.half_power(2, 7) * (1 - q):
             return False
     for mu in mus:
-        if second_virial_deviation(QuadraticOfQBasic(mu, Fraction(1))) != half_power(2, 5) * mu:
+        if second_virial_deviation(QuadraticOfQBasic(mu, Fraction(1))) != SURD.half_power(2, 5) * mu:
             return False
     return True
 
@@ -420,9 +419,9 @@ def _fifth_virial_discrepancy() -> tuple[bool, str]:
 def _fugacity_cubic_discrepancy() -> tuple[bool, str]:
     model = GasModel(UNDEFORMED, order=3, backend=SURD)
     engine = fugacity_of_density(model).coeffs[3]
-    phi2 = SurdRational.from_fraction(2)
-    phi3 = SurdRational.from_fraction(3)
-    printed = phi2**3 * Fraction(1, 16) - phi3 * half_power(3, 5)
+    phi2 = SURD.from_fraction(2)
+    phi3 = SURD.from_fraction(3)
+    printed = phi2**3 * Fraction(1, 16) - phi3 * SURD.half_power(3, 5)
     differs = printed != engine
     detail = (
         "printed cubic term of the fugacity-of-density inversion carries phi(2)^3 "

@@ -14,8 +14,12 @@ Every series in this package is generic over one scalar backend:
   decimal    decimal.Decimal at a stated significant-digit budget (plus
              internal guard digits), for values that leave the surd ring.
 
-A backend turns a rational into a scalar in one place, `from_ratio(num, den)`
-(den > 0, not necessarily reduced); `from_fraction` delegates to it.
+A scalar enters a ring only through its backend's methods: a rational
+through `from_ratio(num, den)` (den > 0, not necessarily reduced), which
+`from_fraction` delegates to, and n^(-k/2) through `half_power(n, k)`, which
+every backend defines for integers n >= 1 and odd k >= 1 and rejects
+otherwise with ValueError.  `invert_unit` inverts a nonzero rational unit and
+raises ZeroLinearCoefficientError on anything else.
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
 equally long; the surd `dot` scales each nonzero term once to the lcm of
@@ -48,7 +52,6 @@ from .errors import (
 
 __all__ = [
     "radical_normalize",
-    "half_power",
     "SurdRational",
     "TruncPoly",
     "SurdBackend",
@@ -92,14 +95,13 @@ def radical_normalize(n: int) -> tuple[int, int]:
     return s, r * m
 
 
-def half_power(n: int, k: int) -> "SurdRational":
-    """Exact n**(-k/2) for odd k, as sqrt(n) / n**((k+1)/2) in the surd ring."""
+def _half_power_exponent(n: int, k: int) -> int:
+    """(k+1)/2, so that n**(-k/2) = sqrt(n) / n**((k+1)/2), for n >= 1 and odd k >= 1."""
     if n < 1:
         raise ValueError(f"base must be a positive integer, got {n}")
     if k < 1 or k % 2 == 0:
         raise ValueError(f"exponent numerator must be an odd positive integer, got {k}")
-    s, r = radical_normalize(n)
-    return _surd({r: s}, n ** ((k + 1) // 2))
+    return (k + 1) // 2
 
 
 # The radicand-product table r1 -> {r2: (r, g)}, sqrt(r1)*sqrt(r2) = g*sqrt(r) for square-free
@@ -143,17 +145,9 @@ class SurdRational:
         out = _surd({r: c.numerator * (den // c.denominator) for r, c in acc.items()}, den)
         self._num, self._den = out._num, out._den
 
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "SurdRational":
-        n, d = Fraction(value).as_integer_ratio()
-        return _surd({1: n}, d)
-
     @property
     def terms(self) -> dict[int, Fraction]:
         return {r: Fraction(n, self._den) for r, n in self._num.items()}
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def is_rational(self) -> bool:
         return all(r == 1 for r in self._num)
@@ -168,7 +162,7 @@ class SurdRational:
 
     def __add__(self, other: object) -> "SurdRational":
         if isinstance(other, (int, Fraction)):
-            other = SurdRational.from_fraction(other)
+            other = SURD.from_fraction(other)
         if isinstance(other, SurdRational):
             d1, d2 = self._den, other._den
             if d1 == d2:
@@ -228,7 +222,7 @@ class SurdRational:
     def __pow__(self, exponent: int) -> "SurdRational":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("SurdRational powers must be nonnegative integers")
-        out = SurdRational.from_fraction(1)
+        out = _ONE
         for _ in range(exponent):
             out = out * self
         return out
@@ -238,7 +232,7 @@ class SurdRational:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SurdRational.from_fraction(other)
+            other = SURD.from_fraction(other)
         if isinstance(other, SurdRational):
             return self._den == other._den and self._num == other._num
         return NotImplemented
@@ -283,7 +277,7 @@ class TruncPoly:
             if power < 0:
                 raise ValueError(f"bad eps power {power}")
             if power <= order and c:
-                clean[power] = c if isinstance(c, SurdRational) else SurdRational.from_fraction(c)
+                clean[power] = c if isinstance(c, SurdRational) else SURD.from_fraction(c)
         self._coeffs = clean
 
     @property
@@ -400,6 +394,7 @@ class TruncPoly:
 
 
 Scalar = Fraction | SurdRational | TruncPoly | Decimal
+_ZERO, _ONE = _surd({}, 1), _surd({1: 1}, 1)  # shared: values are immutable
 
 
 # --------------------------------------------------------------------------
@@ -428,29 +423,25 @@ class SurdBackend(_Backend):
 
     __slots__ = ()
     is_exact = True
-
-    @property
-    def zero(self) -> SurdRational:
-        return _ZERO
-
-    @property
-    def one(self) -> SurdRational:
-        return _ONE
+    zero, one = _ZERO, _ONE
 
     def from_ratio(self, num: int, den: int) -> SurdRational:
         return _surd({1: num}, den)
 
     def half_power(self, n: int, k: int) -> SurdRational:
-        return half_power(n, k)
+        """Exact n**(-k/2), as sqrt(n) / n**((k+1)/2)."""
+        e = _half_power_exponent(n, k)
+        s, r = radical_normalize(n)
+        return _surd({r: s}, n**e)
 
     def invert_unit(self, scalar: SurdRational) -> SurdRational:
-        if scalar.is_zero():
+        if not scalar:
             raise ZeroLinearCoefficientError("cannot invert zero")
         if not scalar.is_rational():
             raise ZeroLinearCoefficientError(
                 f"linear coefficient {scalar.render()} is not an invertible rational"
             )
-        return SurdRational.from_fraction(Fraction(1) / scalar.rational_part())
+        return self.from_fraction(Fraction(1) / scalar.rational_part())
 
     def dot(self, xs, ys) -> SurdRational:
         """sum_i xs[i]*ys[i] for equally long xs, ys, over the lcm of the
@@ -510,7 +501,7 @@ class TruncPolyBackend(_Backend):
         return TruncPoly(self.order, {0: value})
 
     def half_power(self, n: int, k: int) -> TruncPoly:
-        return self.from_surd(half_power(n, k))
+        return self.from_surd(SURD.half_power(n, k))
 
     def invert_unit(self, scalar: TruncPoly) -> TruncPoly:
         const = scalar.coefficient(0)
@@ -518,11 +509,7 @@ class TruncPolyBackend(_Backend):
             raise ZeroLinearCoefficientError(
                 "linear coefficient must be a constant polynomial to invert"
             )
-        if not const.is_rational():
-            raise ZeroLinearCoefficientError(
-                f"linear coefficient {const.render()} is not an invertible rational"
-            )
-        return self.from_fraction(Fraction(1) / const.rational_part())
+        return self.from_surd(SURD.invert_unit(const))
 
     def describe(self) -> str:
         return f"truncpoly[eps<={self.order}]"
@@ -533,6 +520,7 @@ class DecimalBackend(_Backend):
 
     __slots__ = ("digits",)
     is_exact = False
+    zero, one = Decimal(0), Decimal(1)
 
     def __init__(self, digits: int = 50) -> None:
         if digits < 1:
@@ -546,21 +534,14 @@ class DecimalBackend(_Backend):
     def arith(self):
         return localcontext(self.context)
 
-    @property
-    def zero(self) -> Decimal:
-        return Decimal(0)
-
-    @property
-    def one(self) -> Decimal:
-        return Decimal(1)
-
     def from_ratio(self, num: int, den: int) -> Decimal:
         with self.arith():
             return Decimal(num) / Decimal(den)
 
     def half_power(self, n: int, k: int) -> Decimal:
+        e = _half_power_exponent(n, k)
         with self.arith():
-            return Decimal(n).sqrt() / Decimal(n) ** ((k + 1) // 2)
+            return Decimal(n).sqrt() / Decimal(n) ** e
 
     def invert_unit(self, scalar: Decimal) -> Decimal:
         if scalar == 0:
@@ -573,7 +554,6 @@ class DecimalBackend(_Backend):
 
 
 SURD = SurdBackend()
-_ZERO, _ONE = _surd({}, 1), _surd({1: 1}, 1)  # shared: values are immutable
 
 Backend = SurdBackend | TruncPolyBackend | DecimalBackend
 

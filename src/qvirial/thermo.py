@@ -34,7 +34,6 @@ from .exact import (
 )
 from .series import PowerSeries, compose, euler_inverse, jackson_apply, revert
 from .structfn import (
-    QBasicSeries,
     StructureFunction,
     UNDEFORMED,
     eval_structure,
@@ -113,7 +112,7 @@ class VirialTable(Frozen):
 
 
 def _first_nonpositive_phi(model: GasModel) -> int | None:
-    if isinstance(model.backend, TruncPolyBackend) or isinstance(model.sf, QBasicSeries):
+    if isinstance(model.backend, TruncPolyBackend):
         return None  # sign is undefined for symbolic deviations
     for n in range(1, model.order + 1):
         value = eval_structure(model.sf, n, model.backend)

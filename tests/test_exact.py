@@ -17,7 +17,7 @@ from qvirial import (
     TruncPoly,
     TruncPolyBackend,
     UnboundVariableError,
-    half_power,
+    ZeroLinearCoefficientError,
     radical_normalize,
     to_decimal,
 )
@@ -67,24 +67,47 @@ def test_radical_normalize_rejects_nonpositive():
 
 
 def test_half_power_examples():
-    assert half_power(1, 5) == SurdRational.from_fraction(1)
-    assert half_power(2, 5) == SurdRational({2: Fraction(1, 8)})
-    assert half_power(3, 7) == SurdRational({3: Fraction(1, 81)})
-    assert half_power(4, 5) == SurdRational.from_fraction(Fraction(1, 32))
+    assert SURD.half_power(1, 5) == SURD.from_fraction(1)
+    assert SURD.half_power(2, 5) == SurdRational({2: Fraction(1, 8)})
+    assert SURD.half_power(3, 7) == SurdRational({3: Fraction(1, 81)})
+    assert SURD.half_power(4, 5) == SURD.from_fraction(Fraction(1, 32))
 
 
 def test_half_power_square_is_exact_inverse_power():
     for n in range(1, 30):
         for k in (1, 3, 5, 7, 17):
-            value = half_power(n, k)
-            assert value * value == SurdRational.from_fraction(Fraction(1, n**k))
+            value = SURD.half_power(n, k)
+            assert value * value == SURD.from_fraction(Fraction(1, n**k))
 
 
 def test_half_power_rejects_even_or_nonpositive_k():
     with pytest.raises(ValueError):
-        half_power(2, 4)
+        SURD.half_power(2, 4)
     with pytest.raises(ValueError):
-        half_power(0, 5)
+        SURD.half_power(0, 5)
+
+
+@pytest.mark.parametrize("backend", [SURD, TruncPolyBackend(3), DecimalBackend(50)], ids=lambda b: b.describe())
+def test_every_backend_keeps_the_half_power_and_unit_contract(backend):
+    for n, k in ((0, 5), (4, 2), (4, 0), (4, -1)):
+        with pytest.raises(ValueError):
+            backend.half_power(n, k)
+    for n in range(1, 13):
+        for k in (1, 3, 5, 7):
+            exact, value = SURD.half_power(n, k), backend.half_power(n, k)
+            if isinstance(backend, TruncPolyBackend):
+                assert value == backend.from_surd(exact)
+            else:
+                assert to_decimal(value, 40) == to_decimal(exact, 40), (n, k)
+    with pytest.raises(ZeroLinearCoefficientError):
+        backend.invert_unit(backend.zero)
+    if backend.is_exact:
+        root2 = SurdRational({2: 1})
+        with pytest.raises(ZeroLinearCoefficientError) as surd_error:
+            SURD.invert_unit(root2)
+        with pytest.raises(ZeroLinearCoefficientError) as error:
+            backend.invert_unit(root2 if backend is SURD else backend.from_surd(root2))
+        assert str(error.value) == str(surd_error.value)
 
 
 # -- surd ring ---------------------------------------------------------------
@@ -92,13 +115,13 @@ def test_half_power_rejects_even_or_nonpositive_k():
 
 def test_sqrt_two_squared():
     root2 = SurdRational({2: 1})
-    assert root2 * root2 == SurdRational.from_fraction(2)
+    assert root2 * root2 == SURD.from_fraction(2)
 
 
 def test_difference_of_squares():
     root2, root3 = SurdRational({2: 1}), SurdRational({3: 1})
     product = (root2 + root3) * (root2 - root3)
-    assert product == SurdRational.from_fraction(-1)
+    assert product == SURD.from_fraction(-1)
     # decimal cross-check of the factors themselves
     left = surd_oracle_decimal({2: Fraction(1), 3: Fraction(1)})
     right = surd_oracle_decimal({2: Fraction(1), 3: Fraction(-1)})
@@ -115,7 +138,7 @@ def test_radicand_product_normalizes():
 def test_constructor_normalizes_radicands_and_drops_zeros():
     value = SurdRational({8: Fraction(1, 2), 2: Fraction(-1), 5: 0})
     assert value == SurdRational({2: 0}) == SurdRational()
-    assert value.is_zero()
+    assert not value
 
 
 def test_division_by_rational_and_zero():
@@ -131,7 +154,7 @@ def test_division_by_rational_and_zero():
 def test_truncpoly_division_by_a_rational():
     poly = TruncPoly(3, {0: SurdRational({1: Fraction(3, 4), 2: -5}), 2: SurdRational({3: Fraction(7, 9)}), 3: 2})
     divisors = [3, -4, Fraction(5, 7), Fraction(-2, 9)]
-    divisors += [SurdRational.from_fraction(Fraction(6, 5)), SurdRational.from_fraction(-11)]
+    divisors += [SURD.from_fraction(Fraction(6, 5)), SURD.from_fraction(-11)]
     for r in divisors:
         value = Fraction(r) if not isinstance(r, SurdRational) else r.rational_part()
         expected = {e: {rad: c / value for rad, c in coeff.terms.items()} for e, coeff in poly.coeffs.items()}
@@ -157,11 +180,11 @@ def test_mixed_backend_rejected():
 
 
 def test_hash_agrees_with_eq():
-    half = SurdRational.from_fraction(Fraction(1, 2))
+    half = SURD.from_fraction(Fraction(1, 2))
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
     assert len({half, Fraction(1, 2)}) == 1
     assert SurdRational() == 0 and hash(SurdRational()) == hash(0)
-    assert SurdRational.from_fraction(3) == 3 and hash(SurdRational.from_fraction(3)) == hash(3)
+    assert SURD.from_fraction(3) == 3 and hash(SURD.from_fraction(3)) == hash(3)
     assert SurdRational({8: 1}) == SurdRational({2: 2})
     assert hash(SurdRational({8: 1})) == hash(SurdRational({2: 2}))
     for value in (half, SurdRational({2: Fraction(-1, 8)}), SurdRational()):
@@ -173,7 +196,7 @@ def test_hash_agrees_with_eq():
 
 
 def test_rational_part_accessors():
-    value = SurdRational.from_fraction(Fraction(-7, 3))
+    value = SURD.from_fraction(Fraction(-7, 3))
     assert value.is_rational()
     assert value.rational_part() == Fraction(-7, 3)
     with pytest.raises(ValueError):
@@ -192,7 +215,7 @@ def test_render_ordering_and_signs():
     value = SurdRational({1: Fraction(317, 1728), 2: Fraction(1, 8), 3: Fraction(-1, 6), 5: Fraction(-4, 125)})
     assert value.render() == "317/1728 + 1/8*sqrt(2) - 1/6*sqrt(3) - 4/125*sqrt(5)"
     assert SurdRational().render() == "0"
-    assert SurdRational.from_fraction(2).render() == "2"
+    assert SURD.from_fraction(2).render() == "2"
     assert SurdRational({1: -2, 3: Fraction(1, 9)}).render() == "-2 + 1/9*sqrt(3)"
     # NumberPoly renders through the same signed-sum join
     assert NumberPoly().render() == "0"
@@ -238,14 +261,14 @@ def test_to_decimal_fraction_and_decimal_inputs():
     assert to_decimal(Fraction(1, 8), 2) == "0.12"  # half-even
     assert to_decimal(Decimal("-1.25"), 1) == "-1.2"
     # a rational surd may sit exactly on a tie, and must still round half-even
-    assert to_decimal(SurdRational.from_fraction(Fraction(1, 8)), 2) == "0.12"
-    assert to_decimal(SurdRational.from_fraction(Fraction(-1, 8)), 2) == "-0.12"
+    assert to_decimal(SURD.from_fraction(Fraction(1, 8)), 2) == "0.12"
+    assert to_decimal(SURD.from_fraction(Fraction(-1, 8)), 2) == "-0.12"
     # values in (-0.5e-3, 0) round to zero and never render as "-0.000"
     tiny = Fraction(-1, 10**4)
     for value in (
         tiny,
         Decimal("-0.0001"),
-        SurdRational.from_fraction(tiny),
+        SURD.from_fraction(tiny),
         SurdRational({1: Fraction(1414213, 10**6), 2: -1}),  # about -5.6e-7
     ):
         assert to_decimal(value, 3) == "0.000"
@@ -292,7 +315,7 @@ def test_to_decimal_survives_cancellation():
 def test_decimal_backend_half_power_matches_surd():
     backend = DecimalBackend(50)
     for n, k in [(2, 5), (3, 7), (4, 5), (12, 3)]:
-        exact = surd_oracle_decimal(half_power(n, k).terms, prec=70)
+        exact = surd_oracle_decimal(SURD.half_power(n, k).terms, prec=70)
         assert sig_agree(backend.half_power(n, k), exact, 48)
 
 
@@ -333,7 +356,7 @@ def truncpolys_st(order: int = 3):
 @given(surds_st, surds_st, surds_st)
 @settings(max_examples=150)
 def test_surd_ring_axioms(a, b, c):
-    zero, one = SurdRational(), SurdRational.from_fraction(1)
+    zero, one = SurdRational(), SURD.from_fraction(1)
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
@@ -472,7 +495,7 @@ def test_integer_form_matches_fraction_reference(a_terms, b_terms, k, e):
         _assert_matches(value, ref)
     if k:
         _assert_matches(a / k, ra / k)
-        _assert_matches(a / SurdRational.from_fraction(k), ra / k)
+        _assert_matches(a / SURD.from_fraction(k), ra / k)
     assert (a == b) == (ra == rb)
     assert (a == k) == (ra == rk)
     assert a * b == b * a and hash(a * b) == hash(b * a)
@@ -551,7 +574,7 @@ def test_surd_operations_leave_their_operands_unchanged(pair, k):
     for x, y in zip(xs, ys):
         _ = x + y, x - y, x * y, -x, x + k, x - k, x * k, k - x
         if k:
-            _ = x / k, x / SurdRational.from_fraction(k)
+            _ = x / k, x / SURD.from_fraction(k)
     assert _fields(xs + ys) == before
 
 

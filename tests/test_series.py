@@ -24,7 +24,6 @@ from qvirial import (
     ZeroLinearCoefficientError,
     compose,
     euler_inverse,
-    half_power,
     jackson_apply,
     revert,
 )
@@ -43,7 +42,7 @@ from helpers import (
 def surd_series(coeffs, var="z"):
     out = []
     for c in coeffs:
-        out.append(c if isinstance(c, SurdRational) else SurdRational.from_fraction(c))
+        out.append(c if isinstance(c, SurdRational) else SURD.from_fraction(c))
     return PowerSeries(var, SURD, out)
 
 
@@ -111,10 +110,10 @@ def test_revert_catalan_numbers():
 
 def test_revert_undeformed_density_series():
     # x(z) = sum z^n/n^(3/2): the x^2 coefficient of z(x) must be -2^(-3/2)
-    coeffs = [SURD.zero] + [half_power(n, 3) for n in range(1, 3)]
+    coeffs = [SURD.zero] + [SURD.half_power(n, 3) for n in range(1, 3)]
     g = revert(PowerSeries("z", SURD, coeffs))
-    assert g.coeffs[1] == SurdRational.from_fraction(1)
-    assert g.coeffs[2] == -half_power(2, 3)
+    assert g.coeffs[1] == SURD.from_fraction(1)
+    assert g.coeffs[2] == -SURD.half_power(2, 3)
 
 
 def test_revert_classical_formulas():
@@ -240,7 +239,7 @@ def test_compose_matches_horner_on_truncpoly():
         backend.from_fraction(Fraction(5, 7)), eps + surd(SurdRational({3: 1})),
     ])
     inner = PowerSeries("z", backend, [
-        backend.zero, backend.one + eps, surd(half_power(2, 5)), backend.zero, eps * eps * eps,
+        backend.zero, backend.one + eps, surd(SURD.half_power(2, 5)), backend.zero, eps * eps * eps,
     ])
     result = compose(outer, inner)
     assert result == horner_compose(outer, inner)
@@ -346,9 +345,9 @@ def test_loops_match_references_on_truncpoly_and_decimal():
     surd = backend.from_surd
     f = PowerSeries("z", backend, [
         backend.zero, backend.from_fraction(Fraction(2, 3)), eps, backend.zero,
-        surd(SurdRational({2: Fraction(-1, 3)})) * eps + surd(half_power(3, 1)), eps * eps,
+        surd(SurdRational({2: Fraction(-1, 3)})) * eps + surd(SURD.half_power(3, 1)), eps * eps,
     ])
-    h = PowerSeries("z", backend, [backend.zero, 0, backend.one + eps, surd(half_power(2, 5))])
+    h = PowerSeries("z", backend, [backend.zero, 0, backend.one + eps, surd(SURD.half_power(2, 5))])
     assert f * h == convolve(f, h)
     assert revert(f) == loop_revert(f)
 
@@ -438,7 +437,7 @@ def test_euler_inverse_undoes_undeformed_jackson():
 
 
 def test_pressure_euler_pair_on_surds():
-    coeffs = [SURD.zero] + [half_power(n, 5) for n in range(1, 6)]
+    coeffs = [SURD.zero] + [SURD.half_power(n, 5) for n in range(1, 6)]
     f = PowerSeries("z", SURD, coeffs)
     stepped = euler_inverse(jackson_apply(UNDEFORMED, f))
     assert stepped == f
