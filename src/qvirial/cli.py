@@ -399,7 +399,7 @@ def _check_t_family_endpoints() -> bool:
 
 def _printed_fifth_virial(sf) -> SurdRational:
     """V_5 as printed: its third term reads -2*phi(3)^3/3^5 where the reversion forces +2*phi(3)^2/3^5."""
-    phi3 = eval_structure(sf, 3, SURD)
+    phi3 = eval_structure(sf, 3, SURD)[3]
     return closed_form_virial(sf, 5, SURD) - (phi3**2 + phi3**3) * Fraction(2, 243)
 
 

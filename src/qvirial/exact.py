@@ -505,7 +505,7 @@ class TruncPolyBackend(_Backend):
 
     def invert_unit(self, scalar: TruncPoly) -> TruncPoly:
         const = scalar.coefficient(0)
-        if not scalar or scalar != const:
+        if scalar != const:
             raise ZeroLinearCoefficientError(
                 "linear coefficient must be a constant polynomial to invert"
             )

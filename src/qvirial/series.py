@@ -226,11 +226,9 @@ def revert(f: PowerSeries) -> PowerSeries:
 def jackson_apply(sf: StructureFunction, f: PowerSeries) -> PowerSeries:
     """Apply the z-multiplied generalized Jackson derivative: c_n -> phi(n)*c_n."""
     backend = f.backend
+    phi = eval_structure(sf, f.order, backend)
     with backend.arith():
-        return PowerSeries(
-            f.var, backend,
-            [eval_structure(sf, n, backend) * c for n, c in enumerate(f.coeffs)],
-        )
+        return PowerSeries(f.var, backend, [p * c for p, c in zip(phi, f.coeffs)])
 
 
 def euler_inverse(f: PowerSeries) -> PowerSeries:

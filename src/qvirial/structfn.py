@@ -23,13 +23,14 @@ values in field order, `mu-q:1/4,3/2`; Interpolated names each field,
 `t:1/2;mu:1/4;q:3/2`.  QBasicSeries is `q-eps:order=N`.
 
 `eval_structure` evaluates any variant on a backend from the record's own
-fields.  One integer route, `_phi_ratio`, forms phi(n) of the rational
+fields, as the row phi(0), ..., phi(K) that the Jackson derivative applies to
+a whole series.  One integer route, `_phi_ratio`, forms phi(n) of the rational
 variants, and Interpolated's QuadraticOfQBasic leg, as one unreduced integer
 ratio, with [n]_q = (b**n - a**n) / (b**(n-1) * (b-a)) for q = a/b, which the
 backend converts once.  On the decimal backend the QBasicOfQuadratic leg
 splits its exponent e = n*(d + m - m*n)/d, mu = m/d, by integer divmod into
-floor(e) and f = frac(e), and takes q**e as q**floor(e) * exp(f*ln q): one exp
-per distinct f, cached per (q, mu, backend).  `eval_eps` and
+floor(e) and f = frac(e), and takes q**e as q**floor(e) * exp(f*ln q): one ln
+per row and one exp per distinct f, kept for that call only.  `eval_eps` and
 `monomial_expansion` expose the eps-expansion of the basic number in the
 binomial and monomial bases (the latter by signed Stirling numbers).
 """
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DescriptorError, Frozen, UnsupportedBackendError
 from .exact import (
@@ -169,22 +169,24 @@ def _phi_ratio(sf: QBasic | Quadratic | QuadraticOfQBasic | Interpolated, n: int
     return u * ((d + m) * v - m * u), d * v * v
 
 
-def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
-    """phi(n) as a scalar of the requested backend.
+def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple[Scalar, ...]:
+    """The row phi(0), ..., phi(order) as scalars of the requested backend.
 
     QBasicOfQuadratic (and Interpolated with t != 1) raise
     UnsupportedBackendError on exact backends: q**((1+mu)*n - mu*n**2) leaves
     the surd ring for non-integer exponents, and the artifact treats the whole
     variant as decimal-only rather than special-casing lucky exponents.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    levels = range(order + 1)
     if isinstance(sf, QBasicSeries):
         if not isinstance(backend, TruncPolyBackend):
             raise UnsupportedBackendError(
                 "QBasicSeries evaluates only on a TruncPoly backend in eps"
             )
-        return eval_eps(n, min(sf.order, backend.order), bound=backend.order)
+        cut = min(sf.order, backend.order)
+        return tuple(TruncPoly(backend.order, eval_eps(n, cut).coeffs) for n in levels)
     if isinstance(sf, QBasicOfQuadratic) or isinstance(sf, Interpolated) and sf.t != 1:
         if not isinstance(backend, DecimalBackend):
             raise UnsupportedBackendError(
@@ -192,40 +194,34 @@ def eval_structure(sf: StructureFunction, n: int, backend: Backend) -> Scalar:
             )
         with backend.arith():
             m, d = sf.mu.as_integer_ratio()  # the exponent (1+mu)*n - mu*n**2 over d
-            whole, rem = divmod(n * (d + m - m * n), d)
             q_dec = backend.from_fraction(sf.q)
-            power = q_dec ** whole * _fractional_powers(sf.q, sf.mu, backend)(Fraction(rem, d))
-            leg = (1 - power) / (1 - q_dec)
+            ln_q, exps, row = q_dec.ln(), {}, []
+            for n in levels:
+                whole, rem = divmod(n * (d + m - m * n), d)
+                if rem not in exps:  # q**(rem/d) = exp(rem/d * ln q), once per rem
+                    exps[rem] = (backend.from_fraction(Fraction(rem, d)) * ln_q).exp()
+                row.append((1 - q_dec ** whole * exps[rem]) / (1 - q_dec))
             if isinstance(sf, QBasicOfQuadratic):
-                return leg
+                return tuple(row)
             t = backend.from_fraction(sf.t)
-            return t * backend.from_ratio(*_phi_ratio(sf, n)) + (1 - t) * leg
+            return tuple(t * backend.from_ratio(*_phi_ratio(sf, n)) + (1 - t) * leg
+                         for n, leg in enumerate(row))
     if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic, Interpolated)):
-        return backend.from_ratio(*_phi_ratio(sf, n))
+        return tuple(backend.from_ratio(*_phi_ratio(sf, n)) for n in levels)
     raise TypeError(f"unknown structure function {type(sf).__name__}")
 
 
-@lru_cache(maxsize=1)
-def _fractional_powers(q: Fraction, mu: Fraction, backend: DecimalBackend):
-    """f -> q**f = exp(f*ln q), each f once; called inside backend.arith()."""
-    ln_q = backend.from_fraction(q).ln()
-    return lru_cache(maxsize=None)(lambda f: (backend.from_fraction(f) * ln_q).exp())
-
-
-def eval_eps(n: int, order: int, bound: int | None = None) -> TruncPoly:
+def eval_eps(n: int, order: int) -> TruncPoly:
     """[n]_q at q = 1 + eps: the exact polynomial sum_i C(n, i+1) * eps**i.
 
-    The polynomial has true degree n - 1; `order` truncates it.  `bound` sets
-    the TruncPoly's order (defaults to `order`) so results can live
-    alongside scalars of a wider backend.
+    The polynomial has true degree n - 1; `order` truncates it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    bound = order if bound is None else bound
     coeffs = {i: Fraction(math.comb(n, i + 1)) for i in range(min(order, n - 1) + 1)}
-    return TruncPoly(bound, coeffs)
+    return TruncPoly(order, coeffs)
 
 
 def _stirling_rows(m: int) -> list[list[int]]:

@@ -31,13 +31,10 @@ from .exact import (
     Scalar,
     SurdRational,
     TruncPolyBackend,
+    radical_normalize,
 )
 from .series import PowerSeries, compose, euler_inverse, jackson_apply, revert
-from .structfn import (
-    StructureFunction,
-    UNDEFORMED,
-    eval_structure,
-)
+from .structfn import StructureFunction, eval_structure
 
 __all__ = [
     "GasModel",
@@ -111,13 +108,16 @@ class VirialTable(Frozen):
         return iter(enumerate(self.values, start=1))
 
 
-def _first_nonpositive_phi(model: GasModel) -> int | None:
-    if isinstance(model.backend, TruncPolyBackend):
+def _first_nonpositive_phi(x: PowerSeries) -> int | None:
+    """The first n with phi(n) <= 0, read off x_n = phi(n) * n**(-5/2): a
+    decimal x_n has the sign of phi(n), and so has a surd x_n's term on the
+    radicand of n."""
+    if isinstance(x.backend, TruncPolyBackend):
         return None  # sign is undefined for symbolic deviations
-    for n in range(1, model.order + 1):
-        value = eval_structure(model.sf, n, model.backend)
+    for n in range(1, x.order + 1):
+        value = x.coeffs[n]
         if isinstance(value, SurdRational):
-            value = value.rational_part()
+            value = value.terms.get(radical_normalize(n)[1], 0)
         if value <= 0:
             return n
     return None
@@ -142,7 +142,7 @@ def virial_coefficients(model: GasModel) -> VirialTable:
             ys = [backend.from_ratio(-m - 1, 1)] + logd[m - t:][::-1]
             logd.append(backend.dot((u[m],) + u[1:t + 1], ys) * minus_c1)
         values = tuple(logd[j] - j * q[j + 1] for j in range(k))
-    return VirialTable(values, _first_nonpositive_phi(model))
+    return VirialTable(values, _first_nonpositive_phi(x))
 
 
 def closed_form_virial(sf: StructureFunction, k: int, backend: Backend = SURD) -> Scalar:
@@ -156,7 +156,7 @@ def closed_form_virial(sf: StructureFunction, k: int, backend: Backend = SURD) -
         raise UnsupportedOrderError(
             f"closed forms exist for k = 2..{CLOSED_FORM_MAX_ORDER}; use the engine for k = {k}"
         )
-    phi = {n: eval_structure(sf, n, backend) for n in range(2, k + 1)}
+    phi = eval_structure(sf, k, backend)
     with backend.arith():
         a = [backend.one] + [phi[n] * backend.half_power(n, 5) for n in range(2, k + 1)]
         h = [backend.one]
@@ -170,7 +170,6 @@ def second_virial_deviation(sf: StructureFunction, backend: Backend = SURD) -> S
 
     Reduces to (1-q)/2**(7/2) when mu = 0 and to mu/2**(5/2) when q = 1.
     """
-    phi2 = eval_structure(sf, 2, backend)
-    phi2_flat = eval_structure(UNDEFORMED, 2, backend)
+    phi2 = eval_structure(sf, 2, backend)[2]
     with backend.arith():
-        return (phi2_flat - phi2) * backend.half_power(2, 7)
+        return (2 - phi2) * backend.half_power(2, 7)

@@ -61,6 +61,13 @@ def test_declared_layer_metrics_present(argv, tmp_path):
     assert result["missing"] == [], f"declared per-layer metrics absent on {argv}"
 
 
+def test_phi_is_one_traced_row_per_table(tmp_path):
+    # eval_structure returns phi(0..K), so an engine table evaluates it once
+    result = traced(["virial", "--sf", "mu:1/5", "--K", "6"], tmp_path)
+    assert result["code"] == 0
+    assert result["metrics"]["structfn.eval_calls"] == 1
+
+
 def test_perturb_split_is_traced(tmp_path):
     # perfbench wraps the splits at the names cli looks them up by; a renamed
     # import would leave the count at 0 rather than absent

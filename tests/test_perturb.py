@@ -112,7 +112,7 @@ def test_two_param_matches_direct_ladder_average():
         n = rng.randint(0, 5)
         sf = QuadraticOfQBasic(mu, q)
         direct = (
-            eval_structure(sf, n + 1, SURD) + eval_structure(sf, n, SURD)
+            eval_structure(sf, n + 1, SURD)[n + 1] + eval_structure(sf, n, SURD)[n]
         ) / 2
         split = two_param_split(2 * (n + 1), 1)  # enough eps orders for exactness at N = n
         eps = q - 1

@@ -30,7 +30,7 @@ from qvirial import (
     parse_descriptor,
 )
 
-from qvirial import errors
+from qvirial import errors, structfn
 from qvirial.structfn import _stirling_rows
 
 from helpers import fraction_phi, rand_positive_q, sig_agree
@@ -55,23 +55,28 @@ def test_eval_zero_is_zero_for_every_variant():
     ]
     for sf in variants:
         backend = TruncPolyBackend(4) if isinstance(sf, QBasicSeries) else SURD
-        value = eval_structure(sf, 0, backend)
+        value = eval_structure(sf, 0, backend)[0]
         assert not value if isinstance(value, TruncPoly) else value == 0
-    assert eval_structure(QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), 0, DEC50) == 0
+    assert eval_structure(QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), 0, DEC50)[0] == 0
+
+
+def test_phi_keeps_no_state_between_calls():
+    # a row's ln q and exps live for one call, so no job reuses another's
+    assert [name for name, value in vars(structfn).items() if hasattr(value, "cache_info")] == []
 
 
 def test_eval_qbasic_geometric_sum():
-    assert eval_structure(QBasic(Fraction(2)), 3, SURD) == 7
+    assert eval_structure(QBasic(Fraction(2)), 3, SURD)[3] == 7
 
 
 def test_eval_quadratic_cutoff():
-    assert eval_structure(Quadratic(Fraction(1, 2)), 3, SURD) == 0
+    assert eval_structure(Quadratic(Fraction(1, 2)), 3, SURD)[3] == 0
 
 
 def test_eval_combined_example():
     # [2]_q = 3 at q = 2, then (3/2)*3 - (1/2)*9 = 0
-    assert eval_structure(QuadraticOfQBasic(Fraction(0), Fraction(2)), 2, SURD) == 3
-    assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, SURD) == 0
+    assert eval_structure(QuadraticOfQBasic(Fraction(0), Fraction(2)), 2, SURD)[2] == 3
+    assert eval_structure(QuadraticOfQBasic(Fraction(1, 2), Fraction(2)), 2, SURD)[2] == 0
 
 
 def test_basic_number_is_the_geometric_sum():
@@ -79,7 +84,7 @@ def test_basic_number_is_the_geometric_sum():
     for q in (Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(3, 2), Fraction(7, 5)):
         for n in range(13):
             expected = sum((q**i for i in range(n)), Fraction(0))
-            assert eval_structure(QuadraticOfQBasic(Fraction(0), q), n, SURD) == expected, (q, n)
+            assert eval_structure(QuadraticOfQBasic(Fraction(0), q), n, SURD)[n] == expected, (q, n)
 
 
 def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
@@ -100,7 +105,7 @@ def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
                 fraction = (Decimal(f.numerator) / Decimal(f.denominator) * q_dec.ln()).exp()
                 power = q_dec ** math.floor(e) * fraction
                 expected = (1 - power) / (1 - q_dec)
-            assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected, (q, mu, digits, n)
+            assert eval_structure(QBasicOfQuadratic(q, mu), n, backend)[n] == expected, (q, mu, digits, n)
 
 
 @given(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=12).filter(lambda q: q != 1),
@@ -116,7 +121,7 @@ def test_qbasic_of_quadratic_splits_negative_and_positive_exponents(q, mu, n, ba
         q_dec = backend.from_fraction(q)
         power = q_dec ** whole * (backend.from_fraction(e - whole) * q_dec.ln()).exp()
         expected = (1 - power) / (1 - q_dec)
-    assert eval_structure(QBasicOfQuadratic(q, mu), n, backend) == expected
+    assert eval_structure(QBasicOfQuadratic(q, mu), n, backend)[n] == expected
 
 
 def test_decimal_legs_build_no_records(monkeypatch):
@@ -132,7 +137,7 @@ def test_decimal_legs_build_no_records(monkeypatch):
     monkeypatch.setattr(errors.Frozen, "_set", lambda self, *values: calls.append(self) or original(self, *values))
     for sf in models:
         for n in range(21):
-            eval_structure(sf, n, DEC50)
+            eval_structure(sf, n, DEC50)[n]
     assert calls == []
 
 
@@ -143,7 +148,7 @@ def test_qbasic_of_quadratic_decimal_meets_its_digit_budget(digits):
     mus = [Fraction(c, 7) for c in (1, 3, 6)] + [Fraction(999, 1000), Fraction(-3, 2)]
     for mu in mus:
         for q in (Fraction(3, 2), Fraction(2, 5)):
-            sf = QBasicOfQuadratic(q, mu)
+            row = eval_structure(QBasicOfQuadratic(q, mu), 100, backend)
             with localcontext(Context(prec=digits + 150)):
                 q_ref = Decimal(q.numerator) / Decimal(q.denominator)
                 ln_q = q_ref.ln()
@@ -151,23 +156,23 @@ def test_qbasic_of_quadratic_decimal_meets_its_digit_budget(digits):
                     e = (1 + mu) * n - mu * n * n
                     power = (Decimal(e.numerator) / Decimal(e.denominator) * ln_q).exp()
                     reference = (1 - power) / (1 - q_ref)
-                    error = abs(eval_structure(sf, n, backend) - reference)
+                    error = abs(row[n] - reference)
                     assert error <= abs(reference) * Decimal(10) ** -(digits + 5), (mu, q, n)
 
 
 def test_eval_on_surd_backend_wraps_rational():
-    value = eval_structure(QBasic(Fraction(3, 2)), 2, SURD)
+    value = eval_structure(QBasic(Fraction(3, 2)), 2, SURD)[2]
     assert value == SURD.from_fraction(Fraction(5, 2))
 
 
 def test_qbasic_of_quadratic_needs_decimal_backend():
     sf = QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4))
     with pytest.raises(UnsupportedBackendError):
-        eval_structure(sf, 2, SURD)
+        eval_structure(sf, 2, SURD)[2]
     with pytest.raises(UnsupportedBackendError):
-        eval_structure(sf, 2, TruncPolyBackend(2))
+        eval_structure(sf, 2, TruncPolyBackend(2))[2]
     # on decimal: exponent [2]_{1/4} = 3/2, so phi(2) = (1 - q^(3/2))/(1 - q)
-    value = eval_structure(sf, 2, DEC50)
+    value = eval_structure(sf, 2, DEC50)[2]
     with localcontext(Context(prec=70)):
         q = Decimal(3) / 2
         expected = (1 - (q * q * q).sqrt()) / (1 - q)
@@ -176,17 +181,17 @@ def test_qbasic_of_quadratic_needs_decimal_backend():
 
 def test_interpolated_t1_stays_exact():
     sf = Interpolated(Fraction(1), Fraction(1, 3), Fraction(3, 2))
-    exact = eval_structure(sf, 3, SURD)
-    assert exact == eval_structure(QuadraticOfQBasic(Fraction(1, 3), Fraction(3, 2)), 3, SURD)
+    exact = eval_structure(sf, 3, SURD)[3]
+    assert exact == eval_structure(QuadraticOfQBasic(Fraction(1, 3), Fraction(3, 2)), 3, SURD)[3]
     with pytest.raises(UnsupportedBackendError):
-        eval_structure(Interpolated(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)), 3, SURD)
+        eval_structure(Interpolated(Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)), 3, SURD)[3]
 
 
 def test_interpolated_is_convex_combination():
     t, mu, q = Fraction(1, 3), Fraction(1, 4), Fraction(3, 2)
-    blend = eval_structure(Interpolated(t, mu, q), 4, DEC50)
-    part_a = eval_structure(QuadraticOfQBasic(mu, q), 4, DEC50)
-    part_b = eval_structure(QBasicOfQuadratic(q, mu), 4, DEC50)
+    blend = eval_structure(Interpolated(t, mu, q), 4, DEC50)[4]
+    part_a = eval_structure(QuadraticOfQBasic(mu, q), 4, DEC50)[4]
+    part_b = eval_structure(QBasicOfQuadratic(q, mu), 4, DEC50)[4]
     with localcontext(Context(prec=70)):
         t_dec = Decimal(1) / 3
         expected = t_dec * part_a + (1 - t_dec) * part_b
@@ -201,43 +206,43 @@ def test_stored_q_never_one():
     with pytest.raises(ValueError):
         Interpolated(Fraction(1, 2), Fraction(1, 4), Fraction(1))
     # the q -> 1 limit lives in the combined variant, by exact substitution
-    assert eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(1)), 5, SURD) == \
-        eval_structure(Quadratic(Fraction(1, 4)), 5, SURD)
+    assert eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(1)), 5, SURD)[5] == \
+        eval_structure(Quadratic(Fraction(1, 4)), 5, SURD)[5]
 
 
 @given(rationals, st.integers(0, 8))
 @settings(max_examples=80)
 def test_quadratic_normalization_properties(mu, n):
     sf = Quadratic(mu)
-    assert eval_structure(sf, 0, SURD) == 0
-    assert eval_structure(sf, 1, SURD) == 1
+    assert eval_structure(sf, 0, SURD)[0] == 0
+    assert eval_structure(sf, 1, SURD)[1] == 1
 
 
 @given(rationals, q_values, st.sampled_from([0, 1]))
 @settings(max_examples=80)
 def test_phi_normalization_all_variants(mu, q, n):
     expected = n  # phi(0) = 0 and phi(1) = 1
-    assert eval_structure(QBasic(q), n, SURD) == expected
-    assert eval_structure(Quadratic(mu), n, SURD) == expected
-    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD) == expected
+    assert eval_structure(QBasic(q), n, SURD)[n] == expected
+    assert eval_structure(Quadratic(mu), n, SURD)[n] == expected
+    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD)[n] == expected
     if q > 0:
-        assert eval_structure(QBasicOfQuadratic(q, mu), n, DEC50) == expected
-        assert eval_structure(Interpolated(Fraction(1, 3), mu, q), n, DEC50) == expected
+        assert eval_structure(QBasicOfQuadratic(q, mu), n, DEC50)[n] == expected
+        assert eval_structure(Interpolated(Fraction(1, 3), mu, q), n, DEC50)[n] == expected
 
 
 @given(q_values, st.integers(0, 10))
 @settings(max_examples=60)
 def test_limit_degeneracies(q, n):
     mu = Fraction(0)
-    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD) == eval_structure(
+    assert eval_structure(QuadraticOfQBasic(mu, q), n, SURD)[n] == eval_structure(
         QBasic(q), n, SURD
-    )
+    )[n]
 
 
 def test_qbasic_of_quadratic_mu_zero_limit_matches_qbasic():
     q = Fraction(3, 2)
     for n in range(0, 7):
-        lhs = eval_structure(QBasicOfQuadratic(q, Fraction(0)), n, DEC50)
+        lhs = eval_structure(QBasicOfQuadratic(q, Fraction(0)), n, DEC50)[n]
         rhs = DEC50.from_fraction(sum((q**i for i in range(n)), Fraction(0)))
         assert sig_agree(lhs, rhs, 45) or lhs == rhs
 
@@ -246,12 +251,12 @@ def test_interpolated_endpoints_pointwise():
     t0 = Interpolated(Fraction(0), Fraction(1, 4), Fraction(3, 2))
     t1 = Interpolated(Fraction(1), Fraction(1, 4), Fraction(3, 2))
     for n in range(0, 9):
-        a = eval_structure(t0, n, DEC50)
-        b = eval_structure(QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), n, DEC50)
+        a = eval_structure(t0, n, DEC50)[n]
+        b = eval_structure(QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), n, DEC50)[n]
         assert a == b or sig_agree(a, b, 45)
-        c = eval_structure(t1, n, DEC50)
+        c = eval_structure(t1, n, DEC50)[n]
         d = DEC50.from_fraction(
-            eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(3, 2)), n, SURD).rational_part()
+            eval_structure(QuadraticOfQBasic(Fraction(1, 4), Fraction(3, 2)), n, SURD)[n].rational_part()
         )
         assert c == d or sig_agree(c, d, 45)
 
@@ -259,7 +264,7 @@ def test_interpolated_endpoints_pointwise():
 def test_quadratic_unit_fraction_cutoff():
     for m in range(1, 8):
         sf = Quadratic(Fraction(1, m))
-        assert eval_structure(sf, m + 1, SURD) == 0
+        assert eval_structure(sf, m + 1, SURD)[m + 1] == 0
 
 
 # -- eps expansion ------------------------------------------------------------
@@ -288,10 +293,19 @@ def test_eval_eps_substitution_matches_qbasic():
 
 def test_eval_eps_via_eval_structure_backend():
     backend = TruncPolyBackend(2)
-    value = eval_structure(QBasicSeries(6), 3, backend)
+    value = eval_structure(QBasicSeries(6), 3, backend)[3]
     assert value == TruncPoly(2, {0: 3, 1: 3, 2: 1})
     with pytest.raises(UnsupportedBackendError):
-        eval_structure(QBasicSeries(6), 3, SURD)
+        eval_structure(QBasicSeries(6), 3, SURD)[3]
+
+
+def test_eps_row_lives_on_the_backend_order_and_the_series_cut():
+    # QBasicSeries(2) on TruncPolyBackend(4): order-4 polynomials truncated at eps**2
+    row = eval_structure(QBasicSeries(2), 6, TruncPolyBackend(4))
+    assert len(row) == 7
+    for n, value in enumerate(row):
+        assert value.order == 4
+        assert value == TruncPoly(4, {i: math.comb(n, i + 1) for i in range(3)}), n
 
 
 def test_rational_phi_matches_fraction_reference():
@@ -305,11 +319,11 @@ def test_rational_phi_matches_fraction_reference():
     for sf in models:
         for n in range(31):
             value = fraction_phi(sf, n)
-            assert eval_structure(sf, n, SURD) == SurdRational({1: value}), (sf, n)
-            assert eval_structure(sf, n, poly_backend) == TruncPoly(3, {0: SurdRational({1: value})})
+            assert eval_structure(sf, n, SURD)[n] == SurdRational({1: value}), (sf, n)
+            assert eval_structure(sf, n, poly_backend)[n] == TruncPoly(3, {0: SurdRational({1: value})})
             with localcontext(dec.context):
                 expected = Decimal(value.numerator) / Decimal(value.denominator)
-            assert eval_structure(sf, n, dec).as_tuple() == expected.as_tuple(), (sf, n)
+            assert eval_structure(sf, n, dec)[n].as_tuple() == expected.as_tuple(), (sf, n)
 
 
 def test_from_ratio_takes_unreduced_ratios():
@@ -414,4 +428,4 @@ def test_parse_descriptor_rejects_garbage():
 
 def test_undeformed_constant():
     for n in range(8):
-        assert eval_structure(UNDEFORMED, n, SURD) == n
+        assert eval_structure(UNDEFORMED, n, SURD)[n] == n

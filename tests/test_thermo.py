@@ -30,6 +30,7 @@ from qvirial import (
     UnsupportedBackendError,
     UnsupportedOrderError,
     closed_form_virial,
+    eval_structure,
     fugacity_of_density,
     log_partition_series,
     parse_descriptor,
@@ -366,6 +367,39 @@ def test_mu_unit_fraction_metadata():
     assert table.first_nonpositive_phi == 3  # phi(3) = 0 at mu = 1/2
     flat = virial_coefficients(GasModel(UNDEFORMED, order=4, backend=SURD))
     assert flat.first_nonpositive_phi is None
+
+
+@pytest.mark.parametrize("descriptor, backend, flag", [
+    ("q-mu:3/2,1/3", DecimalBackend(30), 4),  # the exponent (1+mu)*n - mu*n**2 is 0 at n = 4
+    ("q-mu:1/2,2/7", DecimalBackend(30), 5),  # q < 1: phi(n) <= 0 once the exponent is, n >= 1 + 1/mu
+    ("t:1/2;mu:1/3;q:3/2", DecimalBackend(30), 3),
+    ("q-mu:3/2,1/7", DecimalBackend(30), 8),
+    ("q-mu:3/2,-1/3", DecimalBackend(30), None),
+    # on surds the flag reads x_n's term on the square-free part of n
+    ("mu:2/7", SURD, 5), ("mu:1/5", SURD, 6), ("mu:1/3", SURD, 4), ("q:-2", SURD, 2),
+    ("mu-q:-1/3,3/2", SURD, None),
+])
+def test_flag_is_the_first_nonpositive_phi(descriptor, backend, flag):
+    sf = parse_descriptor(descriptor)
+    row = eval_structure(sf, 10, backend)
+    signs = [value.rational_part() if backend is SURD else value for value in row]
+    assert next((n for n in range(1, 11) if signs[n] <= 0), None) == flag
+    assert virial_coefficients(GasModel(sf, order=10, backend=backend)).first_nonpositive_phi == flag
+
+
+@pytest.mark.parametrize("descriptor, backend", [
+    ("mu-q:1/3,7/5", SURD), ("q-mu:3/2,1/7", DecimalBackend(20)), ("q-eps:order=3", TruncPolyBackend(3)),
+], ids=["surd", "decimal", "truncpoly"])
+def test_a_table_evaluates_phi_once(descriptor, backend):
+    calls = []
+
+    def counted(sf, order, backend):
+        calls.append(order)
+        return eval_structure(sf, order, backend)
+
+    with mock.patch.object(series, "eval_structure", counted), mock.patch.object(thermo, "eval_structure", counted):
+        virial_coefficients(GasModel(parse_descriptor(descriptor), order=12, backend=backend))
+    assert calls == [12]
 
 
 def test_gas_model_requires_order_two():
