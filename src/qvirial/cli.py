@@ -42,7 +42,6 @@ from .structfn import (
     parse_descriptor,
 )
 from .thermo import (
-    GasModel,
     closed_form_virial,
     fugacity_of_density,
     particle_series,
@@ -144,17 +143,20 @@ def _resolve_backend(sf, requested: Backend) -> Backend:
     return requested
 
 
-def _model(sf, args, backend: Backend, **params) -> GasModel:
-    """The command line's gas model, with `params` replacing parameters of `sf`.
+def _checked_sf(sf, args, **params):
+    """`sf` with `params` replacing its parameters, once --K is checked.
 
-    A value the model rejects (a truncation order below 2, a sweep reaching
-    q = 1) came from the user, so it is a usage error.
+    A value the structure function rejects (a sweep reaching q = 1) and a --K
+    below 2 came from the user, so they are usage errors.
     """
     _check_cap(args.order, MAX_ORDER, "--K")
     try:
-        return GasModel(sf.replace(**params), order=args.order, backend=backend)
+        sf = sf.replace(**params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if args.order < 2:
+        raise UsageError("truncation order must be >= 2 (at least one nontrivial virial coefficient)")
+    return sf
 
 
 def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
@@ -188,7 +190,7 @@ def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
 def cmd_virial(args) -> tuple[str, int]:
     sf = parse_descriptor(args.sf)
     backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    table = virial_coefficients(_model(sf, args, backend))
+    table = virial_coefficients(particle_series(_checked_sf(sf, args), args.order, backend))
     columns = ["k"] + _value_columns("V_k", backend)
     rows = [[str(k)] + _value_cells(value, backend) for k, value in table]
     meta = _model_meta(args, sf, backend, table)
@@ -198,11 +200,11 @@ def cmd_virial(args) -> tuple[str, int]:
 def cmd_series(args) -> tuple[str, int]:
     sf = parse_descriptor(args.sf)
     backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    model = _model(sf, args, backend)
+    x = particle_series(_checked_sf(sf, args), args.order, backend)
     dumps: list[tuple[str, PowerSeries]] = [
-        ("particle", particle_series(model)),
-        ("pressure", pressure_series(model)),
-        ("fugacity", fugacity_of_density(model)),
+        ("particle", x),
+        ("pressure", pressure_series(x)),
+        ("fugacity", fugacity_of_density(x)),
     ]
     columns = ["series", "var", "n"] + _value_columns("c_n", backend)
     rows = [
@@ -299,13 +301,13 @@ def cmd_sweep(args) -> tuple[str, int]:
     grid: list[tuple[Fraction, ...]] = [()]
     for _, values in sweeps:
         grid = [point + (v,) for point in grid for v in values]
-    models = [_model(sf, args, backend, **dict(zip(param_names, point))) for point in grid]
+    point_sfs = [_checked_sf(sf, args, **dict(zip(param_names, point))) for point in grid]
 
     columns = param_names + ["k"] + _value_columns("V_k", backend)
     rows = [
         [str(v) for v in point] + [str(k)] + _value_cells(value, backend)
-        for point, model in zip(grid, models)
-        for k, value in virial_coefficients(model)
+        for point, point_sf in zip(grid, point_sfs)
+        for k, value in virial_coefficients(particle_series(point_sf, args.order, backend))
     ]
     meta = {**_model_meta(args, sf, backend), "provenance": "engine"}
     for param, values in sweeps:
@@ -341,7 +343,7 @@ def _check_hamiltonian_identity() -> bool:
 
 
 def _check_undeformed_anchors() -> bool:
-    table = virial_coefficients(GasModel(UNDEFORMED, order=3, backend=SURD))
+    table = virial_coefficients(particle_series(UNDEFORMED, 3))
     return (
         table.coefficient(2) == SurdRational({2: Fraction(-1, 8)})
         and table.coefficient(3) == SurdRational({1: Fraction(1, 8), 3: Fraction(-2, 27)})
@@ -350,7 +352,7 @@ def _check_undeformed_anchors() -> bool:
 
 def _check_quadratic_second_virial() -> bool:
     for mu in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)):
-        table = virial_coefficients(GasModel(Quadratic(mu), order=2, backend=SURD))
+        table = virial_coefficients(particle_series(Quadratic(mu), 2))
         if table.coefficient(2) != -SURD.half_power(2, 5) * (1 - mu):
             return False
     return True
@@ -378,7 +380,7 @@ def _check_closed_forms() -> bool:
     ]
     for mu, q in pairs:
         sf = QuadraticOfQBasic(mu, q)
-        table = virial_coefficients(GasModel(sf, order=5, backend=SURD))
+        table = virial_coefficients(particle_series(sf, 5))
         for k in range(2, 6):
             if table.coefficient(k) != closed_form_virial(sf, k, SURD):
                 return False
@@ -390,7 +392,7 @@ def _check_t_family_endpoints() -> bool:
     mu, q = Fraction(1, 4), Fraction(3, 2)
     for pair in ((Interpolated(1, mu, q), QuadraticOfQBasic(mu, q)),
                  (Interpolated(0, mu, q), QBasicOfQuadratic(q, mu))):
-        t_end, direct = (virial_coefficients(GasModel(sf, order=5, backend=backend)) for sf in pair)
+        t_end, direct = (virial_coefficients(particle_series(sf, 5, backend)) for sf in pair)
         for (_, a), (_, b) in zip(t_end, direct):
             if abs(a - b) > max(abs(a), abs(b), 1) * decimal.Decimal("1e-40"):
                 return False
@@ -405,7 +407,7 @@ def _printed_fifth_virial(sf) -> SurdRational:
 
 def _fifth_virial_discrepancy() -> tuple[bool, str]:
     verbatim = _printed_fifth_virial(UNDEFORMED)
-    engine = virial_coefficients(GasModel(UNDEFORMED, order=5, backend=SURD)).coefficient(5)
+    engine = virial_coefficients(particle_series(UNDEFORMED, 5)).coefficient(5)
     differs = verbatim != engine
     detail = (
         "printed fifth-order closed form has third term -2*phi(3)^3/3^5 where the "
@@ -417,8 +419,7 @@ def _fifth_virial_discrepancy() -> tuple[bool, str]:
 
 
 def _fugacity_cubic_discrepancy() -> tuple[bool, str]:
-    model = GasModel(UNDEFORMED, order=3, backend=SURD)
-    engine = fugacity_of_density(model).coeffs[3]
+    engine = fugacity_of_density(particle_series(UNDEFORMED, 3)).coeffs[3]
     phi2 = SURD.from_fraction(2)
     phi3 = SURD.from_fraction(3)
     printed = phi2**3 * Fraction(1, 16) - phi3 * SURD.half_power(3, 5)
@@ -434,7 +435,7 @@ def _fugacity_cubic_discrepancy() -> tuple[bool, str]:
 
 def _eps_comparison_lines() -> list[str]:
     backend = TruncPolyBackend(3)
-    table = virial_coefficients(GasModel(QBasicSeries(3), order=3, backend=backend))
+    table = virial_coefficients(particle_series(QBasicSeries(3), 3, backend))
     v2, v3 = table.coefficient(2), table.coefficient(3)
     return [
         "this model's basic-number gas, expanded in eps = q - 1 (exact):",

@@ -12,14 +12,18 @@ Every series in this package is generic over one scalar backend:
   truncpoly  TruncPoly -- polynomials in the one formal deviation eps = q - 1
              with SurdRational coefficients, truncated at a fixed degree.
   decimal    decimal.Decimal at a stated significant-digit budget (plus
-             internal guard digits), for values that leave the surd ring.
+             internal guard digits), for values that leave the surd ring;
+             `widened(gap)` is the same backend with the digits added that
+             subtracting two order-1 values gap apart cancels.
 
 A scalar enters a ring only through its backend's methods: a rational
 through `from_ratio(num, den)` (den > 0, not necessarily reduced), which
 `from_fraction` delegates to, and n^(-k/2) through `half_power(n, k)`, which
 every backend defines for integers n >= 1 and odd k >= 1 and rejects
 otherwise with ValueError.  `invert_unit` inverts a nonzero rational unit and
-raises ZeroLinearCoefficientError on anything else.
+raises ZeroLinearCoefficientError on anything else.  A SurdRational and a
+TruncPoly mix from either side, the surd taken as the constant term; a Decimal
+mixes with neither.
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
 equally long; the surd `dot` scales each nonzero term once to the lcm of
@@ -47,6 +51,7 @@ from .errors import (
     Frozen,
     MixedBackendError,
     UnboundVariableError,
+    UnsupportedBackendError,
     ZeroLinearCoefficientError,
 )
 
@@ -66,6 +71,10 @@ __all__ = [
 # O(0.1) terms, so the stated budget alone would not survive a 40-digit
 # cross-check against the exact ring.
 _GUARD_DIGITS = 15
+
+# Working digits past which the decimal backend refuses a computation instead
+# of running it; one ln at the cap takes about 1.5 s (Python 3.11, one core).
+_MAX_WORKING_DIGITS = 4000
 
 # The decimal backend's exponent range: past it a value overflows (or rounds to
 # zero) instead of becoming a cell whose quadratic-time rendering takes minutes.
@@ -176,9 +185,9 @@ class SurdRational:
             for r, n in other._num.items():
                 num[r] = num.get(r, 0) + n * s2
             return _surd(num, d1 * s1)
-        if isinstance(other, (Decimal, TruncPoly)):
-            raise MixedBackendError(f"cannot mix SurdRational with {type(other).__name__}")
-        return NotImplemented
+        if isinstance(other, Decimal):
+            raise MixedBackendError("cannot mix SurdRational with Decimal")
+        return NotImplemented  # a TruncPoly embeds the surd as its constant term
 
     __radd__ = __add__
 
@@ -199,9 +208,9 @@ class SurdRational:
             return _surd({r: c * n for r, c in self._num.items()}, self._den * d)
         if isinstance(other, SurdRational):
             return SURD.dot((self,), (other,))
-        if isinstance(other, (Decimal, TruncPoly)):
-            raise MixedBackendError(f"cannot mix SurdRational with {type(other).__name__}")
-        return NotImplemented
+        if isinstance(other, Decimal):
+            raise MixedBackendError("cannot mix SurdRational with Decimal")
+        return NotImplemented  # a TruncPoly embeds the surd as its constant term
 
     __rmul__ = __mul__
 
@@ -533,6 +542,23 @@ class DecimalBackend(_Backend):
 
     def arith(self):
         return localcontext(self.context)
+
+    def widened(self, gap: Fraction) -> DecimalBackend:
+        """This backend with floor(log10(1/|gap|)) more digits for 0 < |gap| < 1:
+        the leading digits that cancel when two values of order 1 that differ
+        by gap are subtracted; itself when none cancel.  Past
+        _MAX_WORKING_DIGITS working digits it raises UnsupportedBackendError."""
+        num, den = abs(gap.numerator), gap.denominator
+        lost = len(_text(den // num)) - 1 if num < den else 0
+        if not lost:
+            return self
+        prec = self.digits + _GUARD_DIGITS + lost
+        if prec > _MAX_WORKING_DIGITS:
+            raise UnsupportedBackendError(
+                f"{self.describe()} would need {prec} working digits to absorb {lost} cancelled digits,"
+                f" above the cap of {_MAX_WORKING_DIGITS}"
+            )
+        return DecimalBackend(self.digits + lost)
 
     def from_ratio(self, num: int, den: int) -> Decimal:
         with self.arith():

@@ -30,9 +30,12 @@ ratio, with [n]_q = (b**n - a**n) / (b**(n-1) * (b-a)) for q = a/b, which the
 backend converts once.  On the decimal backend the QBasicOfQuadratic leg
 splits its exponent e = n*(d + m - m*n)/d, mu = m/d, by integer divmod into
 floor(e) and f = frac(e), and takes q**e as q**floor(e) * exp(f*ln q): one ln
-per row and one exp per distinct f, kept for that call only.  `eval_eps` and
-`monomial_expansion` expose the eps-expansion of the basic number in the
-binomial and monomial bases (the latter by signed Stirling numbers).
+per row and one exp per distinct f, kept for that call only.  1 - q**e and
+1 - q both cancel the leading digits that |1 - q| lacks, so the row runs with
+those digits, counted from the rational q, added to the working precision.
+`eval_eps` and `monomial_expansion` expose the eps-expansion of the basic
+number in the binomial and monomial bases (the latter by signed Stirling
+numbers).
 """
 
 from __future__ import annotations
@@ -192,14 +195,15 @@ def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple
             raise UnsupportedBackendError(
                 f"{sf.describe()} needs the decimal backend: rational powers of q leave the exact ring"
             )
-        with backend.arith():
-            m, d = sf.mu.as_integer_ratio()  # the exponent (1+mu)*n - mu*n**2 over d
-            q_dec = backend.from_fraction(sf.q)
+        m, d = sf.mu.as_integer_ratio()  # the exponent (1+mu)*n - mu*n**2 over d
+        wide = backend.widened(1 - sf.q)
+        with wide.arith():
+            q_dec = wide.from_fraction(sf.q)
             ln_q, exps, row = q_dec.ln(), {}, []
             for n in levels:
                 whole, rem = divmod(n * (d + m - m * n), d)
                 if rem not in exps:  # q**(rem/d) = exp(rem/d * ln q), once per rem
-                    exps[rem] = (backend.from_fraction(Fraction(rem, d)) * ln_q).exp()
+                    exps[rem] = (wide.from_fraction(Fraction(rem, d)) * ln_q).exp()
                 row.append((1 - q_dec ** whole * exps[rem]) / (1 - q_dec))
             if isinstance(sf, QBasicOfQuadratic):
                 return tuple(row)

@@ -10,6 +10,10 @@ constants appear.  For a structure function phi and fugacity z:
   fugacity of density z(x) = reversion of x(z)
   virial expansion         = pressure(z(x)) / x = sum_k V_k x**(k-1)
 
+A model enters once, as `particle_series(sf, K, backend)`; the pressure, the
+fugacity and the virial table are functions of that x(z) alone, reading K off
+x.order and the ring off x.backend.
+
 The engine reverts x(z) only to order n = ceil(K/2), as h, and composes once:
 V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K since
 z(x) - h lies in x**(n+1): Taylor and one Newton step give pressure(z(x)) = Q - x*Q' + x*L.
@@ -37,7 +41,6 @@ from .series import PowerSeries, compose, euler_inverse, jackson_apply, revert
 from .structfn import StructureFunction, eval_structure
 
 __all__ = [
-    "GasModel",
     "VirialTable",
     "log_partition_series",
     "particle_series",
@@ -51,17 +54,6 @@ __all__ = [
 CLOSED_FORM_MAX_ORDER = 5
 
 
-class GasModel(Frozen):
-    """A structure function, a truncation order, and a coefficient backend."""
-
-    __slots__ = ("sf", "order", "backend")
-
-    def __init__(self, sf: StructureFunction, order: int = 8, backend: Backend = SURD) -> None:
-        if order < 2:
-            raise ValueError("truncation order must be >= 2 (at least one nontrivial virial coefficient)")
-        self._set(sf, order, backend)
-
-
 def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
     """Reduced log-partition series sum_{n>=1} z**n / n**(5/2)."""
     if order < 1:
@@ -71,19 +63,19 @@ def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
     return PowerSeries("z", backend, coeffs)
 
 
-def particle_series(model: GasModel) -> PowerSeries:
-    """Reduced particle-number series x(z) = sum_n phi(n) z**n / n**(5/2)."""
-    return jackson_apply(model.sf, log_partition_series(model.order, model.backend))
+def particle_series(sf: StructureFunction, order: int, backend: Backend = SURD) -> PowerSeries:
+    """Reduced particle-number series x(z) = sum_n phi(n) z**n / n**(5/2) to z**order."""
+    return jackson_apply(sf, log_partition_series(order, backend))
 
 
-def pressure_series(model: GasModel) -> PowerSeries:
-    """Reduced pressure series sum_n phi(n) z**n / n**(7/2)."""
-    return euler_inverse(particle_series(model))
+def pressure_series(x: PowerSeries) -> PowerSeries:
+    """Reduced pressure series sum_n phi(n) z**n / n**(7/2) of the density series x(z)."""
+    return euler_inverse(x)
 
 
-def fugacity_of_density(model: GasModel) -> PowerSeries:
+def fugacity_of_density(x: PowerSeries) -> PowerSeries:
     """z as a series in the reduced density x = lambda**3/v (reversion of x(z))."""
-    return revert(particle_series(model))
+    return revert(x)
 
 
 class VirialTable(Frozen):
@@ -123,14 +115,13 @@ def _first_nonpositive_phi(x: PowerSeries) -> int | None:
     return None
 
 
-def virial_coefficients(model: GasModel) -> VirialTable:
-    """Engine virial table: revert x(z) to order n = ceil(K/2) only, as h, and
-    compose the pressure P with it once; V_k = L_(k-1) - (k-1)*Q_k with Q = P(h),
-    L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
+def virial_coefficients(x: PowerSeries) -> VirialTable:
+    """Virial table V_1..V_K of the density series x(z), K = x.order: revert
+    x(z) to order n = ceil(K/2) only, as h, and compose the pressure P with it
+    once; V_k = L_(k-1) - (k-1)*Q_k with Q = P(h), L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
     Q + P'(h)*d, and P'(h) = x(h)/h = Q'/h' with Newton's d = -(x(h) - x)/x'(h)
     gives Q - x*Q' + x*L.  L_m = ((m+1)*u_m - sum_{i>=1} u_i*L_(m-i)) / u_0, u = h/x."""
-    x = particle_series(model)
-    backend, k, n = model.backend, model.order, (model.order + 1) // 2
+    backend, k, n = x.backend, x.order, (x.order + 1) // 2
     h = revert(PowerSeries(x.var, backend, x.coeffs[:n + 1]))
     pad = (backend.zero,) * (k - n)
     q = compose(euler_inverse(x), PowerSeries(h.var, backend, h.coeffs + pad)).coeffs

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from qvirial import (
     DecimalBackend,
-    GasModel,
     Interpolated,
     PowerSeries,
     Quadratic,
@@ -25,6 +24,7 @@ from qvirial import (
     compose,
     hamiltonian_split,
     monomial_expansion,
+    particle_series,
     revert,
     second_virial_deviation,
     virial_coefficients,
@@ -54,7 +54,7 @@ def criterion(number: int, budget_seconds: float, description: str):
 
 def test_criterion_01_undeformed_limit():
     with criterion(1, 1.0, "undeformed limit reproduces the ideal Bose gas V2, V3"):
-        table = virial_coefficients(GasModel(UNDEFORMED, order=3, backend=SURD))
+        table = virial_coefficients(particle_series(UNDEFORMED, 3))
         # exact-symbolic anchors: V2 = -1/(4*sqrt(2)), V3 = -(2/(9*sqrt(3)) - 1/8)
         assert table.coefficient(2) == SurdRational({2: Fraction(-1, 8)})
         assert table.coefficient(3) == SurdRational({1: Fraction(1, 8), 3: Fraction(-2, 27)})
@@ -70,9 +70,9 @@ def test_criterion_02_quadratic_second_virial():
         rng = random.Random(20260201)
         for _ in range(20):
             mu = rand_fraction(rng)
-            table = virial_coefficients(GasModel(Quadratic(mu), order=2, backend=SURD))
+            table = virial_coefficients(particle_series(Quadratic(mu), 2))
             assert table.coefficient(2) == -SURD.half_power(2, 5) * (1 - mu)
-        at_one = virial_coefficients(GasModel(Quadratic(Fraction(1)), order=2, backend=SURD))
+        at_one = virial_coefficients(particle_series(Quadratic(Fraction(1)), 2))
         assert at_one.coefficient(2) == SURD.zero
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_engine_equals_closed_forms():
             if case < 30:
                 # exact path: t = 1 collapses onto the surd ring
                 sf = Interpolated(Fraction(1), mu, q)
-                table = virial_coefficients(GasModel(sf, order=5, backend=SURD))
+                table = virial_coefficients(particle_series(sf, 5))
                 for k in range(2, 6):
                     assert table.coefficient(k) == closed_form_virial(sf, k, SURD)
             else:
@@ -93,7 +93,7 @@ def test_criterion_03_engine_equals_closed_forms():
                 if t == 1:
                     t = Fraction(1, 2)
                 sf = Interpolated(t, mu, q)
-                table = virial_coefficients(GasModel(sf, order=5, backend=DEC50))
+                table = virial_coefficients(particle_series(sf, 5, DEC50))
                 for k in range(2, 6):
                     closed = closed_form_virial(sf, k, DEC50)
                     assert sig_agree(table.coefficient(k), closed, 40), (sf, k)
@@ -139,7 +139,7 @@ def test_criterion_06_hamiltonian_split_identity():
 def test_criterion_07_errata_reproduction(capsys):
     with criterion(7, 5.0, "misprinted fifth-order term flagged; engine keeps the true value"):
         verbatim = _printed_fifth_virial(UNDEFORMED)  # the form check-paper reports
-        engine = virial_coefficients(GasModel(UNDEFORMED, order=5, backend=SURD)).coefficient(5)
+        engine = virial_coefficients(particle_series(UNDEFORMED, 5)).coefficient(5)
         verbatim_value = surd_oracle_decimal(verbatim.terms, 30)
         engine_value = surd_oracle_decimal(engine.terms, 30)
         # printed form collapses to ~ -0.2963; the true coefficient is a few 1e-6
@@ -178,8 +178,8 @@ def test_criterion_09_backend_cross_validation():
         for mu in mus:
             for q in qs:
                 sf = QuadraticOfQBasic(mu, q)
-                exact = virial_coefficients(GasModel(sf, order=8, backend=SURD))
-                approx = virial_coefficients(GasModel(sf, order=8, backend=DEC50))
+                exact = virial_coefficients(particle_series(sf, 8))
+                approx = virial_coefficients(particle_series(sf, 8, DEC50))
                 for k in range(1, 9):
                     exact_value = surd_oracle_decimal(exact.coefficient(k).terms, 60)
                     assert sig_agree(exact_value, approx.coefficient(k), 40), (mu, q, k)
@@ -189,12 +189,12 @@ def test_criterion_10_performance_envelope():
     with criterion(10, 250.0, "exact K=12 table < 10 s; K=20 benchmark < 2 min (soft gate 2x)"):
         sf = QuadraticOfQBasic(Fraction(1, 3), Fraction(7, 5))
         start = time.perf_counter()
-        table12 = virial_coefficients(GasModel(sf, order=12, backend=SURD))
+        table12 = virial_coefficients(particle_series(sf, 12))
         elapsed12 = time.perf_counter() - start
         assert table12.coefficient(1) == SURD.one
         assert elapsed12 < 10.0, f"K=12 took {elapsed12:.2f}s"
         start = time.perf_counter()
-        table20 = virial_coefficients(GasModel(sf, order=20, backend=SURD))
+        table20 = virial_coefficients(particle_series(sf, 20))
         elapsed20 = time.perf_counter() - start
         assert table20.coefficient(1) == SURD.one
         # benchmark target is 120 s; only a 2x regression is a hard failure

@@ -10,12 +10,14 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qvirial import cli, errors, exact
+from qvirial import DecimalBackend, cli, errors, exact, parse_descriptor, particle_series, thermo, virial_coefficients
 from qvirial.cli import main
 
 
@@ -147,7 +149,9 @@ def _mostly(valid, malformed):
     return st.sampled_from(valid * 3 + malformed)
 
 
-_RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"], ["1/0", "3.5", str(10**30), "x", ""])
+# q = 1 +- 10**-j: the decimal phi row cancels j digits
+_NEAR_ONE = [str(1 + sign * Fraction(1, 10**j)) for j in (1, 8, 16, 20, 28, 40) for sign in (1, -1)]
+_RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"] + _NEAR_ONE, ["1/0", "3.5", str(10**30), "x", ""])
 _BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), "x"])
 _DESCRIPTORS = st.one_of(
     st.tuples(st.sampled_from(["q", "mu", "mu-q", "q-mu", "frob"]),
@@ -196,6 +200,9 @@ def _argv(draw):
 
 
 @given(_argv())
+@example(["virial", "--sf", f"q-mu:{1 + Fraction(1, 10**28)},1/7", "--K", "4", "--backend", "decimal:12"])
+@example(["sweep", "--sf", "t:1/2;mu:1/7;q:2", "--K", "3", "--backend", "decimal:1",
+          "--sweep", f"q={1 - Fraction(1, 10**20)}:2:1"])
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_argv_ends_in_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -204,6 +211,33 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("digits", [12, 50])
+@pytest.mark.parametrize("kind", ["q-mu", "t"])
+def test_decimal_tables_near_q_one_meet_their_digit_budget(capsys, kind, digits):
+    # q = 1 +- 10**-j: each cell within 10**-D * max(1, |V_k|) of the table at
+    # D + j + 150 digits, plus the half unit of the 12th place that printing adds
+    for j in (60, 28, 20, 8):
+        for q in (1 + Fraction(1, 10**j), 1 - Fraction(1, 10**j)):
+            descriptor = f"q-mu:{q},1/7" if kind == "q-mu" else f"t:1/2;mu:1/7;q:{q}"
+            code, out, err = run_cli(capsys, "virial", "--sf", descriptor, "--K", "8",
+                                     "--backend", f"decimal:{digits}", "--format", "json")
+            assert (code, err) == (0, "")
+            cells = [Decimal(row["V_k_decimal"]) for row in json.loads(out)["rows"]]
+            x = particle_series(parse_descriptor(descriptor), 8, DecimalBackend(digits + j + 150))
+            for k, (cell, value) in enumerate(zip(cells, virial_coefficients(x).values), start=1):
+                budget = Decimal(10) ** -digits * max(1, abs(value)) + Decimal("0.5e-12")
+                assert abs(cell - value) <= budget, (descriptor, k)
+
+
+def test_q_too_near_one_for_the_digit_cap_exits_3(capsys):
+    # 12 + 15 guard + 3990 cancelled digits pass the cap of 4000 working digits
+    q = 1 + Fraction(1, 10**3990)
+    code, out, err = run_cli(capsys, "virial", "--sf", f"q-mu:{q},1/7", "--K", "4", "--backend", "decimal:12")
+    assert (code, out) == (3, "")
+    assert err == ("qvirial: backend error: decimal:12 would need 4017 working digits to absorb "
+                   "3990 cancelled digits, above the cap of 4000\n")
 
 
 def test_decimal_overflow_is_a_backend_error(capsys):
@@ -442,8 +476,34 @@ def test_sweep_point_rejected_by_model_is_usage_error(capsys):
     assert main(["sweep", "--sf", "mu:0", "--K", "1", "--sweep", "mu=0:1:1"]) == 2
 
 
+def test_k_below_two_is_a_usage_error(capsys):
+    # the library runs order 1 (V_1 alone); the command line asks for a nontrivial V_k
+    for command in ("virial", "series", "sweep"):
+        for order in ("1", "0"):
+            sweep = ["--sweep", "mu=0:1:1"] if command == "sweep" else []
+            code, out, err = run_cli(capsys, command, "--sf", "mu-q:1/3,3/2", "--K", order, *sweep)
+            assert (code, out) == (2, "")
+            assert err == "qvirial: error: truncation order must be >= 2 (at least one nontrivial virial coefficient)\n"
+
+
+def test_a_series_job_builds_the_density_series_once(monkeypatch, capsys):
+    # the pressure and fugacity dumps are read off the particle series the job built
+    calls = []
+    build = thermo.particle_series
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "particle_series", counted)
+    monkeypatch.setattr(thermo, "particle_series", counted)
+    code, out, err = run_cli(capsys, "series", "--sf", "mu-q:1/3,3/2", "--K", "6")
+    assert code == 0 and err == ""
+    assert len(calls) == 1
+
+
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):
-    def broken(model):
+    def broken(x):
         raise ValueError("arithmetic bug")
 
     monkeypatch.setattr(cli, "virial_coefficients", broken)
@@ -469,7 +529,7 @@ def test_every_raised_package_error_is_classified():
 
 @pytest.mark.parametrize("name", INTERNAL)
 def test_engine_invariant_errors_propagate(monkeypatch, name):
-    def broken(model):
+    def broken(x):
         raise getattr(errors, name)("engine bug")
 
     monkeypatch.setattr(cli, "virial_coefficients", broken)

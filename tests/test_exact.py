@@ -176,7 +176,15 @@ def test_mixed_backend_rejected():
     with pytest.raises(MixedBackendError):
         SurdRational({2: 1}) + Decimal("1.5")
     with pytest.raises(MixedBackendError):
-        SurdRational({2: 1}) * TruncPoly(2, {1: 1})
+        SurdRational({2: 1}) * Decimal("1.5")
+    # a TruncPoly embeds a surd as its constant term from either side; only division refuses it
+    s, p = SurdRational({2: 1}), TruncPoly(2, {0: 3, 1: SurdRational({3: 1})})
+    assert SurdRational({2: 1}) * TruncPoly(2, {1: 1}) == TruncPoly(2, {1: 1}) * SurdRational({2: 1})
+    assert s * p == p * s == TruncPoly(2, {0: SurdRational({2: 3}), 1: SurdRational({6: 1})})
+    assert s + p == p + s == TruncPoly(2, {0: 3 + s, 1: SurdRational({3: 1})})
+    assert s - p == -(p - s)
+    with pytest.raises(MixedBackendError):
+        s / p
 
 
 def test_hash_agrees_with_eq():

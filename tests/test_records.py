@@ -1,6 +1,6 @@
-"""The immutable value records: backends, structure functions, gas models
-and virial tables share one contract (equality, hashing, repr,
-immutability, validated replace)."""
+"""The immutable value records: backends, structure functions and virial
+tables share one contract (equality, hashing, repr, immutability, validated
+replace)."""
 
 import copy
 import pickle
@@ -10,7 +10,6 @@ import pytest
 
 from qvirial import (
     DecimalBackend,
-    GasModel,
     Interpolated,
     QBasic,
     QBasicOfQuadratic,
@@ -19,6 +18,7 @@ from qvirial import (
     QuadraticOfQBasic,
     SurdBackend,
     TruncPolyBackend,
+    particle_series,
     virial_coefficients,
 )
 
@@ -37,8 +37,7 @@ def records():
         (Interpolated(Fraction(1, 2), Fraction(1, 7), Fraction(3, 2)),
          "Interpolated(t=Fraction(1, 2), mu=Fraction(1, 7), q=Fraction(3, 2))"),
         (QBasicSeries(4), "QBasicSeries(order=4)"),
-        (GasModel(sf, order=3), "GasModel(sf=QBasic(q=Fraction(3, 2)), order=3, backend=SurdBackend())"),
-        (virial_coefficients(GasModel(sf, order=3)),
+        (virial_coefficients(particle_series(sf, 3)),
          "VirialTable(values=(SurdRational('1'), SurdRational('-5/32*sqrt(2)'), "
          "SurdRational('25/128 - 19/162*sqrt(3)')), first_nonpositive_phi=None)"),
     ]
@@ -48,7 +47,7 @@ def ids():
     return [type(record).__name__ for record, _ in records()]
 
 
-@pytest.mark.parametrize("index", range(11), ids=ids())
+@pytest.mark.parametrize("index", range(10), ids=ids())
 def test_records_are_values(index):
     (record, text), (twin, _) = records()[index], records()[index]
     assert record == twin and not record != twin and record is not twin
@@ -58,7 +57,7 @@ def test_records_are_values(index):
     assert hash(record) == hash(twin)
 
 
-@pytest.mark.parametrize("index", range(11), ids=ids())
+@pytest.mark.parametrize("index", range(10), ids=ids())
 def test_records_are_immutable(index):
     record, _ = records()[index]
     for name in type(record).__slots__:
@@ -81,12 +80,9 @@ def test_records_of_different_classes_never_compare_equal():
 
 def test_replace_coerces_and_validates_again():
     assert QBasic(2).replace(q=3) == QBasic(3) and isinstance(QBasic(2).replace(q=3).q, Fraction)
-    assert GasModel(QBasic(2)).replace(order=5) == GasModel(QBasic(2), order=5)
     with pytest.raises(ValueError):
         QBasic(2).replace(q=1)
     with pytest.raises(ValueError):
         Interpolated(0, 0, 2).replace(q=-1)
-    with pytest.raises(ValueError):
-        GasModel(QBasic(2)).replace(order=1)
     with pytest.raises(TypeError):
         Quadratic(0).replace(q=2)  # no such field

@@ -30,7 +30,7 @@ from qvirial import (
     parse_descriptor,
 )
 
-from qvirial import errors, structfn
+from qvirial import errors, exact, structfn
 from qvirial.structfn import _stirling_rows
 
 from helpers import fraction_phi, rand_positive_q, sig_agree
@@ -114,12 +114,14 @@ def test_qbasic_of_quadratic_decimal_follows_q_and_the_digit_budget():
 @settings(max_examples=60, deadline=None)
 def test_qbasic_of_quadratic_splits_negative_and_positive_exponents(q, mu, n, backend):
     # e = (1+mu)*n - mu*n**2 in Fractions, negative for mu > 0 at large n;
-    # the same Decimal steps as the engine, in the backend's context
+    # the same Decimal steps as the engine, in the context of the backend widened
+    # by the digits that 1 - q cancels
     e = (1 + mu) * n - mu * n * n
     whole = math.floor(e)
-    with backend.arith():
-        q_dec = backend.from_fraction(q)
-        power = q_dec ** whole * (backend.from_fraction(e - whole) * q_dec.ln()).exp()
+    wide = backend.widened(1 - q)
+    with wide.arith():
+        q_dec = wide.from_fraction(q)
+        power = q_dec ** whole * (wide.from_fraction(e - whole) * q_dec.ln()).exp()
         expected = (1 - power) / (1 - q_dec)
     assert eval_structure(QBasicOfQuadratic(q, mu), n, backend)[n] == expected
 
@@ -158,6 +160,44 @@ def test_qbasic_of_quadratic_decimal_meets_its_digit_budget(digits):
                     reference = (1 - power) / (1 - q_ref)
                     error = abs(row[n] - reference)
                     assert error <= abs(reference) * Decimal(10) ** -(digits + 5), (mu, q, n)
+
+
+# q within 10**-j of 1: 1 - q**e and 1 - q each lose j leading digits
+NEAR_ONE = [(j, 1 + sign * Fraction(1, 10**j)) for j in (8, 20, 28, 60) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("digits", [12, 50])
+@pytest.mark.parametrize("kind", ["q-mu", "t"])
+def test_decimal_phi_near_q_one_meets_its_digit_budget(kind, digits):
+    # against the reference form at D + j + 150 digits, |err| <= 10**-D * max(1, |phi(n)|)
+    backend = DecimalBackend(digits)
+    for mu in (Fraction(1, 7), Fraction(-1, 3)):
+        for j, q in NEAR_ONE:
+            sf = QBasicOfQuadratic(q, mu) if kind == "q-mu" else Interpolated(Fraction(1, 2), mu, q)
+            row = eval_structure(sf, 8, backend)
+            with localcontext(Context(prec=digits + j + 150)):
+                q_ref = Decimal(q.numerator) / Decimal(q.denominator)
+                ln_q = q_ref.ln()
+                for n in range(9):
+                    e = (1 + mu) * n - mu * n * n
+                    reference = (1 - (Decimal(e.numerator) / Decimal(e.denominator) * ln_q).exp()) / (1 - q_ref)
+                    if kind == "t":
+                        rational = fraction_phi(QuadraticOfQBasic(mu, q), n)
+                        reference = (Decimal(rational.numerator) / Decimal(rational.denominator) + reference) / 2
+                    error = abs(row[n] - reference)
+                    assert error <= Decimal(10) ** -digits * max(1, abs(reference)), (mu, j, q > 1, n)
+
+
+def test_decimal_phi_too_near_q_one_is_refused(monkeypatch):
+    # D + 15 guard digits + j cancelled digits must fit the working-digit cap
+    monkeypatch.setattr(exact, "_MAX_WORKING_DIGITS", 100)
+    sf = QBasicOfQuadratic(1 + Fraction(1, 10**73), Fraction(1, 7))
+    assert eval_structure(sf, 4, DecimalBackend(12))[1] == 1
+    with pytest.raises(UnsupportedBackendError, match="101 working digits"):
+        eval_structure(sf, 4, DecimalBackend(13))
+    with pytest.raises(UnsupportedBackendError):
+        eval_structure(sf.replace(q=1 - Fraction(1, 10**74)), 4, DecimalBackend(12))
+    assert [DecimalBackend(12).widened(1 - q).digits for q in (Fraction(3, 2), Fraction(9, 10), Fraction(101, 100))] == [12, 13, 14]
 
 
 def test_eval_on_surd_backend_wraps_rational():
