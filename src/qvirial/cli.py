@@ -24,6 +24,7 @@ from .exact import (
     SurdRational,
     TruncPoly,
     TruncPolyBackend,
+    _text,
     to_decimal,
 )
 from .perturb import hamiltonian_split, two_param_split
@@ -66,7 +67,7 @@ class UsageError(ValueError):
 
 def _check_cap(value: int, cap: int, what: str) -> None:
     if value > cap:
-        raise UsageError(f"{what} is {value}, above the cap of {cap}")
+        raise UsageError(f"{what} is {_text(value)}, above the cap of {cap}")
 
 
 # --------------------------------------------------------------------------
@@ -201,15 +202,15 @@ def cmd_series(args) -> tuple[str, int]:
     sf = parse_descriptor(args.sf)
     backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
     x = particle_series(_checked_sf(sf, args), args.order, backend)
-    dumps: list[tuple[str, PowerSeries]] = [
-        ("particle", x),
-        ("pressure", pressure_series(x)),
-        ("fugacity", fugacity_of_density(x)),
+    dumps: list[tuple[str, str, PowerSeries]] = [  # (name, variable, series)
+        ("particle", "z", x),
+        ("pressure", "z", pressure_series(x)),
+        ("fugacity", "x", fugacity_of_density(x)),
     ]
     columns = ["series", "var", "n"] + _value_columns("c_n", backend)
     rows = [
-        [name, series.var, str(n)] + _value_cells(value, backend)
-        for name, series in dumps
+        [name, var, str(n)] + _value_cells(value, backend)
+        for name, var, series in dumps
         for n, value in enumerate(series.coeffs)
     ]
     meta = _model_meta(args, sf, backend)

@@ -1,12 +1,13 @@
 """Truncated formal power series: products, composition, reversion, and the
 generalized Jackson / Euler operators.
 
-A PowerSeries holds exactly K+1 coefficients c_0..c_K of one backend (zeros
+A PowerSeries is its backend and exactly K+1 coefficients c_0..c_K (zeros
 stored explicitly, so order bookkeeping stays honest; ints and Fractions are
-converted to backend scalars).  Operations never extend K; a product or
-composition of series of different K truncates to the smaller.  The series
-carry no sum or scalar product: the gas pipeline needs only the operations
-below.
+converted to backend scalars).  It names no variable: whether a series is in
+the fugacity z or the density x is the caller's reading, and `revert` maps
+one to the other.  Operations never extend K; a product or composition of
+series of different K truncates to the smaller.  The series carry no sum or
+scalar product: the gas pipeline needs only the operations below.
 
 The two operators that drive the gas pipeline:
 
@@ -63,14 +64,13 @@ _DIRECT_REVERT_ORDER = 16  # revert solves longer series by Newton steps
 
 
 class PowerSeries:
-    """sum_{n=0}^{K} c_n * var**n with all coefficients on one backend."""
+    """sum_{n=0}^{K} c_n * x**n with all coefficients on one backend."""
 
-    __slots__ = ("var", "backend", "coeffs")
+    __slots__ = ("backend", "coeffs")
 
-    def __init__(self, var: str, backend: Backend, coeffs: Sequence[Scalar]) -> None:
+    def __init__(self, backend: Backend, coeffs: Sequence[Scalar]) -> None:
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        self.var = var
         self.backend = backend
         self.coeffs = tuple(  # type(), not isinstance(): Fraction's ABC check is slow
             backend.from_fraction(c) if type(c) in (int, Fraction) else c for c in coeffs
@@ -89,14 +89,10 @@ class PowerSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.backend == other.backend
-            and self.coeffs == other.coeffs
-        )
+        return self.backend == other.backend and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        return f"PowerSeries({self.var!r}, {self.backend.describe()}, K={self.order})"
+        return f"PowerSeries({self.backend.describe()}, K={self.order})"
 
     def _align(self, other: "PowerSeries") -> int:
         if not isinstance(other, PowerSeries):
@@ -105,8 +101,6 @@ class PowerSeries:
             raise MixedBackendError(
                 f"cannot combine {self.backend.describe()} with {other.backend.describe()} series"
             )
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         return min(self.order, other.order)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
@@ -120,7 +114,7 @@ class PowerSeries:
             for n in range(lo_a + lo_b, min(k, hi_a + hi_b) + 1):
                 low, top = max(lo_a, n - hi_b), min(hi_a, n - lo_b) + 1
                 out.append(backend.dot(a[low:top], rb[k - n + low:k - n + top]))
-            return PowerSeries(self.var, backend, out + [backend.zero] * (k + 1 - len(out)))
+            return PowerSeries(backend, out + [backend.zero] * (k + 1 - len(out)))
 
 
 def _span(c: Sequence[Scalar]) -> tuple[int, int]:
@@ -158,7 +152,7 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
         raise NonzeroConstantTermError("compose needs an inner series with zero constant term")
     k = min(outer.order, inner.order)
     m = isqrt(k) + 1
-    backend, o, var = outer.backend, outer.coeffs, inner.var
+    backend, o = outer.backend, outer.coeffs
     zero, dot = backend.zero, backend.dot
     with backend.arith():
         # pw[r] = u**r to order k - r, the last order at which x**r u**r counts
@@ -167,23 +161,22 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
             if r % 2 == 0:
                 pw.append(_square(pw[r // 2][:k - r + 1], backend))
             else:
-                u = PowerSeries(var, backend, pw[1][:k - r + 1])
-                pw.append((u * PowerSeries(var, backend, pw[-1])).coeffs)
+                u = PowerSeries(backend, pw[1][:k - r + 1])
+                pw.append((u * PowerSeries(backend, pw[-1])).coeffs)
         acc: list[Scalar] = []
         for i in range(k // m, -1, -1):
             low, top = m * i, k - m * i  # B_i starts at o_low; acc_i is needed to x**top
             block = [dot(o[low:low + min(m, n + 1)], [pw[r][n - r] for r in range(min(m, n + 1))])
                      for n in range(top + 1)]
             if acc:
-                giant = PowerSeries(var, backend, pw[m]) * PowerSeries(var, backend, acc)
+                giant = PowerSeries(backend, pw[m]) * PowerSeries(backend, acc)
                 block[m:] = [b + c for b, c in zip(block[m:], giant.coeffs)]
             acc = block
-        return PowerSeries(var, backend, acc)
+        return PowerSeries(backend, acc)
 
 
 def revert(f: PowerSeries) -> PowerSeries:
-    """Compositional inverse g with compose(f, g) = identity to order K; g is
-    a series in x if f is one in z, else in z.
+    """Compositional inverse g with compose(f, g) = identity to order K.
 
     Needs c_0 = 0 and an invertible rational c_1 (every series in the gas
     pipeline has c_1 = phi(1) = 1).  Up to order 16, solved coefficient by
@@ -199,16 +192,15 @@ def revert(f: PowerSeries) -> PowerSeries:
         raise ZeroLinearCoefficientError("revert needs a nonzero linear coefficient")
     backend = f.backend
     inv_c1 = backend.invert_unit(f.coeffs[1])
-    var = "x" if f.var == "z" else "z"
     zero, dot = backend.zero, backend.dot
     if k > _DIRECT_REVERT_ORDER:
         n = (k + 1) // 2
-        half = revert(PowerSeries(f.var, backend, f.coeffs[:n + 1])).coeffs
+        half = revert(PowerSeries(backend, f.coeffs[:n + 1])).coeffs
         with backend.arith():
-            f_half = compose(f, PowerSeries(var, backend, half + (zero,) * (k - n))).coeffs
-            residual = PowerSeries(var, backend, [-c for c in f_half[n + 1:]])  # from x**(n+1)
-            slope = PowerSeries(var, backend, [a * half[a] for a in range(1, k - n + 1)])
-            return PowerSeries(var, backend, half + (residual * slope).coeffs)
+            f_half = compose(f, PowerSeries(backend, half + (zero,) * (k - n))).coeffs
+            residual = PowerSeries(backend, [-c for c in f_half[n + 1:]])  # from x**(n+1)
+            slope = PowerSeries(backend, [a * half[a] for a in range(1, k - n + 1)])
+            return PowerSeries(backend, half + (residual * slope).coeffs)
     with backend.arith():
         g: list[Scalar] = [zero, inv_c1]
         # power[j] holds [x^m] g**j for the g known so far; power[1] aliases g
@@ -220,7 +212,7 @@ def revert(f: PowerSeries) -> PowerSeries:
                 power[j].append(dot(power[j - 1][j - 1:m], g[m - j + 1:0:-1]))
             residual = dot(f.coeffs[2:m + 1], [row[m] for row in power[2:]])
             g.append(-residual * inv_c1)
-        return PowerSeries(var, backend, g)
+        return PowerSeries(backend, g)
 
 
 def jackson_apply(sf: StructureFunction, f: PowerSeries) -> PowerSeries:
@@ -228,7 +220,7 @@ def jackson_apply(sf: StructureFunction, f: PowerSeries) -> PowerSeries:
     backend = f.backend
     phi = eval_structure(sf, f.order, backend)
     with backend.arith():
-        return PowerSeries(f.var, backend, [p * c for p, c in zip(phi, f.coeffs)])
+        return PowerSeries(backend, [p * c for p, c in zip(phi, f.coeffs)])
 
 
 def euler_inverse(f: PowerSeries) -> PowerSeries:
@@ -239,4 +231,4 @@ def euler_inverse(f: PowerSeries) -> PowerSeries:
     with backend.arith():
         out = [backend.zero]
         out.extend(c / n for n, c in enumerate(f.coeffs) if n >= 1)
-        return PowerSeries(f.var, backend, out)
+        return PowerSeries(backend, out)

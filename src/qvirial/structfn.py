@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DescriptorError, Frozen, UnsupportedBackendError
@@ -274,6 +275,11 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise DescriptorError(f"zero denominator: {text!r}") from exc
+    except ValueError as exc:  # past the str -> int digit limit, which Python 3.10.7 on enforces
+        digits, limit = max(map(len, re.findall(r"\d+", text))), sys.get_int_max_str_digits()
+        raise DescriptorError(
+            f"a number of {digits} digits is above the {limit}-digit limit on integer conversion"
+        ) from exc
 
 
 _KINDS = {cls.kind: cls for cls in (QBasic, Quadratic, QuadraticOfQBasic, QBasicOfQuadratic, Interpolated)}
@@ -306,7 +312,7 @@ def parse_descriptor(text: str) -> StructureFunction:
             key, _, value = rest.partition("=")
             if key.strip() != "order" or not re.fullmatch(r"[+-]?\d+", value.strip()):
                 raise DescriptorError(f"q-eps descriptor takes order=<int>, not {rest!r}")
-            return QBasicSeries(int(value))
+            return QBasicSeries(_parse_rational(value).numerator)
         cls = _KINDS.get(kind)
         if cls is None:
             raise DescriptorError(f"unknown structure-function kind {kind!r}")

@@ -60,7 +60,7 @@ def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
         raise ValueError("order must be >= 1")
     coeffs: list[Scalar] = [backend.zero]
     coeffs.extend(backend.half_power(n, 5) for n in range(1, order + 1))
-    return PowerSeries("z", backend, coeffs)
+    return PowerSeries(backend, coeffs)
 
 
 def particle_series(sf: StructureFunction, order: int, backend: Backend = SURD) -> PowerSeries:
@@ -122,9 +122,9 @@ def virial_coefficients(x: PowerSeries) -> VirialTable:
     Q + P'(h)*d, and P'(h) = x(h)/h = Q'/h' with Newton's d = -(x(h) - x)/x'(h)
     gives Q - x*Q' + x*L.  L_m = ((m+1)*u_m - sum_{i>=1} u_i*L_(m-i)) / u_0, u = h/x."""
     backend, k, n = x.backend, x.order, (x.order + 1) // 2
-    h = revert(PowerSeries(x.var, backend, x.coeffs[:n + 1]))
+    h = revert(PowerSeries(backend, x.coeffs[:n + 1]))
     pad = (backend.zero,) * (k - n)
-    q = compose(euler_inverse(x), PowerSeries(h.var, backend, h.coeffs + pad)).coeffs
+    q = compose(euler_inverse(x), PowerSeries(backend, h.coeffs + pad)).coeffs
     with backend.arith():
         # u_0 = 1/c_1, so L_m = -c_1 * dot([u_m, u_1, .., u_t], [-(m+1), L_(m-1), .., L_(m-t)]), t = min(m, n-1)
         u, minus_c1, logd = h.coeffs[1:] + pad, -x.coeffs[1], [backend.one]

@@ -64,9 +64,9 @@ surd_coeff_st = st.fractions(min_value=-2, max_value=2, max_denominator=6).flatm
 )
 
 
-def identity_series(var: str, order: int) -> PowerSeries:
-    """The surd series var + 0*var**2 + ... + 0*var**order."""
-    return PowerSeries(var, SURD, [SURD.zero, SURD.one] + [SURD.zero] * (order - 1))
+def identity_series(order: int) -> PowerSeries:
+    """The surd series x + 0*x**2 + ... + 0*x**order."""
+    return PowerSeries(SURD, [SURD.zero, SURD.one] + [SURD.zero] * (order - 1))
 
 
 def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
@@ -75,14 +75,11 @@ def horner_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     k = min(outer.order, inner.order)
     backend = outer.backend
     with backend.arith():
-        inner_k = PowerSeries(inner.var, backend, inner.coeffs[: k + 1])
-        acc = PowerSeries(inner.var, backend, [outer.coeffs[k]] + [backend.zero] * k)
+        inner_k = PowerSeries(backend, inner.coeffs[: k + 1])
+        acc = PowerSeries(backend, [outer.coeffs[k]] + [backend.zero] * k)
         for j in range(k - 1, -1, -1):
             acc = acc * inner_k
-            acc = PowerSeries(
-                inner.var, backend,
-                (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:],
-            )
+            acc = PowerSeries(backend, (acc.coeffs[0] + outer.coeffs[j],) + acc.coeffs[1:])
         return acc
 
 
@@ -101,10 +98,10 @@ def convolve(left: PowerSeries, right: PowerSeries) -> PowerSeries:
             for j in range(k - i + 1):
                 if b[j]:
                     out[i + j] = out[i + j] + a[i] * b[j]
-        return PowerSeries(left.var, backend, out)
+        return PowerSeries(backend, out)
 
 
-def loop_revert(f: PowerSeries, var: str = "x") -> PowerSeries:
+def loop_revert(f: PowerSeries) -> PowerSeries:
     """The compositional inverse of f (c_0 = 0, invertible c_1) by the power
     table filled one ring operation per term: a reference for revert's dot
     products."""
@@ -126,7 +123,7 @@ def loop_revert(f: PowerSeries, var: str = "x") -> PowerSeries:
                 if f.coeffs[j]:
                     residual = residual + f.coeffs[j] * coeff
             g.append(-residual * inv_c1)
-        return PowerSeries(var, backend, g)
+        return PowerSeries(backend, g)
 
 
 class FractionSurd:

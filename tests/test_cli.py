@@ -151,8 +151,11 @@ def _mostly(valid, malformed):
 
 # q = 1 +- 10**-j: the decimal phi row cancels j digits
 _NEAR_ONE = [str(1 + sign * Fraction(1, 10**j)) for j in (1, 8, 16, 20, 28, 40) for sign in (1, -1)]
-_RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"] + _NEAR_ONE, ["1/0", "3.5", str(10**30), "x", ""])
-_BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), "x"])
+# past Python's 4,300-digit limit on str -> int conversion (str(10**4399) would hit it too)
+_OVERSIZED = "1" + "0" * 4399
+_RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"] + _NEAR_ONE,
+                     ["1/0", "3.5", str(10**30), _OVERSIZED, "x", ""])
+_BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), _OVERSIZED, "x"])
 _DESCRIPTORS = st.one_of(
     st.tuples(st.sampled_from(["q", "mu", "mu-q", "q-mu", "frob"]),
               st.lists(_RATIONALS, min_size=1, max_size=2).map(",".join)).map(":".join),
@@ -203,6 +206,7 @@ def _argv(draw):
 @example(["virial", "--sf", f"q-mu:{1 + Fraction(1, 10**28)},1/7", "--K", "4", "--backend", "decimal:12"])
 @example(["sweep", "--sf", "t:1/2;mu:1/7;q:2", "--K", "3", "--backend", "decimal:1",
           "--sweep", f"q={1 - Fraction(1, 10**20)}:2:1"])
+@example(["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:{_OVERSIZED}:1/2"])
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_argv_ends_in_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -211,6 +215,26 @@ def test_fuzzed_argv_ends_in_an_exit_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+_DIGIT_LIMIT = f"5001 digits is above the {sys.get_int_max_str_digits()}-digit limit"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:1{'0' * 5000}:1/2"], _DIGIT_LIMIT),
+    (["virial", "--sf", f"q:1{'0' * 5000}", "--K", "3"], _DIGIT_LIMIT),
+    (["virial", "--sf", f"q-eps:order=1{'0' * 5000}", "--K", "3"], _DIGIT_LIMIT),
+    # each number fits, but the value count 10^4300 + 1 has 4,301 digits
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:10:1/1{'0' * 4299}"],
+     f"is 1{'0' * 4299}1, above the cap of 1000"),
+])
+def test_numbers_past_the_int_digit_limit_exit_2(capsys, argv, message):
+    # a number int() cannot read or print is a one-line usage error
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("digits", [12, 50])
@@ -596,12 +620,24 @@ def test_hamiltonian_two_parameter_rows(capsys):
 
 
 def test_series_dump_columns(capsys):
-    code, out, _ = run_cli(capsys, "series", "--sf", "mu:1/4", "--K", "3", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert "series,var,n,c_n_decimal,c_n_exact" in lines
-    assert any(line.startswith("particle,z,2,") for line in lines)
-    assert any(line.startswith("fugacity,x,1,1.000000000000") for line in lines)
+    # every row names its series and variable: particle and pressure in z, fugacity in x
+    expected = [[name, var, str(n)] for name, var in (("particle", "z"), ("pressure", "z"), ("fugacity", "x"))
+                for n in range(4)]
+    for sf, backend in (("mu:1/4", "exact"), ("q-mu:3/2,1/7", "decimal:20"), ("q-eps:order=2", "exact")):
+        for fmt in ("csv", "json", "pretty"):
+            code, out, err = run_cli(capsys, "series", "--sf", sf, "--K", "3", "--backend", backend, "--format", fmt)
+            assert (code, err) == (0, "")
+            if fmt == "json":
+                payload = json.loads(out)
+                header, rows = payload["columns"], [list(row.values())[:3] for row in payload["rows"]]
+            elif fmt == "csv":
+                body = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+                header, rows = body[0], [row[:3] for row in body[1:]]
+            else:  # pretty: the meta lines, one blank line, then the table
+                body = [line.split() for line in out.split("\n\n", 1)[1].splitlines()]
+                header, rows = body[0], [row[:3] for row in body[1:]]
+            assert header[:3] == ["series", "var", "n"], (sf, fmt)
+            assert rows == expected, (sf, fmt)
 
 
 # -- check-paper ------------------------------------------------------------------

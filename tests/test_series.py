@@ -39,11 +39,11 @@ from helpers import (
 )
 
 
-def surd_series(coeffs, var="z"):
+def surd_series(coeffs):
     out = []
     for c in coeffs:
         out.append(c if isinstance(c, SurdRational) else SURD.from_fraction(c))
-    return PowerSeries(var, SURD, out)
+    return PowerSeries(SURD, out)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_mul_truncates():
 def test_rational_coefficients_become_backend_scalars():
     # int and Fraction coefficients are converted once, so every operation,
     # revert's invert_unit included, sees SurdRationals
-    plain = PowerSeries("z", SURD, [0, 1, Fraction(1, 2), 3])
+    plain = PowerSeries(SURD, [0, 1, Fraction(1, 2), 3])
     built = surd_series([0, 1, Fraction(1, 2), 3])
     assert plain * plain == built * built
     assert compose(plain, plain) == compose(built, built)
@@ -68,17 +68,15 @@ def test_rational_coefficients_become_backend_scalars():
     assert all(isinstance(c, SurdRational) for c in plain.coeffs)
 
 
-def test_add_requires_same_backend_and_var():
-    # the product is the series operation that checks backend and variable
+def test_mul_requires_same_backend():
+    # the product is the series operation that checks the backend
     with pytest.raises(MixedBackendError):
-        surd_series([1, 2]) * PowerSeries("z", DecimalBackend(20), [Decimal(1), Decimal(2)])
-    with pytest.raises(ValueError):
-        surd_series([1, 2]) * surd_series([1, 2], var="x")
+        surd_series([1, 2]) * PowerSeries(DecimalBackend(20), [Decimal(1), Decimal(2)])
 
 
 def test_compose_identity_inner():
     f = surd_series([0, 1, 1])
-    assert compose(f, identity_series("z", 2)) == f
+    assert compose(f, identity_series(2)) == f
 
 
 def test_compose_doubling():
@@ -96,22 +94,21 @@ def test_compose_rejects_nonzero_constant():
 
 
 def test_revert_identity():
-    f = identity_series("z", 5)
+    f = identity_series(5)
     assert revert(f).coeffs == f.coeffs
 
 
 def test_revert_catalan_numbers():
     f = surd_series([0, 1, -1, 0, 0])  # z - z^2
     g = revert(f)
-    assert g.var == "x"
     assert g.coeffs == (0, 1, 1, 2, 5)
-    assert compose(f, g) == identity_series("x", 4)
+    assert compose(f, g) == identity_series(4)
 
 
 def test_revert_undeformed_density_series():
     # x(z) = sum z^n/n^(3/2): the x^2 coefficient of z(x) must be -2^(-3/2)
     coeffs = [SURD.zero] + [SURD.half_power(n, 3) for n in range(1, 3)]
-    g = revert(PowerSeries("z", SURD, coeffs))
+    g = revert(PowerSeries(SURD, coeffs))
     assert g.coeffs[1] == SURD.from_fraction(1)
     assert g.coeffs[2] == -SURD.half_power(2, 3)
 
@@ -138,7 +135,7 @@ def test_revert_nonunit_rational_linear_coefficient():
             c1 = rand_fraction(rng)
         f = surd_series([0, c1, rand_fraction(rng), rand_fraction(rng)])
         g = revert(f)
-        assert compose(f, g) == identity_series("x", 3)
+        assert compose(f, g) == identity_series(3)
 
 
 def test_revert_requires_invertible_linear_term():
@@ -154,11 +151,11 @@ def test_revert_requires_invertible_linear_term():
 @settings(max_examples=60, deadline=None)
 def test_revert_round_trip_property(tail):
     coeffs = [SURD.zero, SURD.one] + list(tail)
-    f = PowerSeries("z", SURD, coeffs)
+    f = PowerSeries(SURD, coeffs)
     g = revert(f)
     k = f.order
-    assert compose(f, g) == identity_series("x", k)
-    assert compose(g, PowerSeries("x", SURD, f.coeffs)) == identity_series("x", k)
+    assert compose(f, g) == identity_series(k)
+    assert compose(g, f) == identity_series(k)
 
 
 # -- compose against Horner's rule -----------------------------------------------
@@ -174,8 +171,8 @@ maybe_zero_st = st.one_of(st.just(SURD.zero), surd_coeff_st)
 @settings(max_examples=80, deadline=None)
 def test_compose_matches_horner(outer_coeffs, inner_tail):
     # the inner's linear term is drawn like the rest: zero, 1 or a non-unit surd
-    outer = PowerSeries("z", SURD, outer_coeffs)
-    inner = PowerSeries("z", SURD, [SURD.zero] + inner_tail)
+    outer = PowerSeries(SURD, outer_coeffs)
+    inner = PowerSeries(SURD, [SURD.zero] + inner_tail)
     result = compose(outer, inner)
     assert result == horner_compose(outer, inner)
     assert result.order == min(outer.order, inner.order)
@@ -196,8 +193,8 @@ def _rand_surds(rng, count):
 def test_compose_matches_horner_at_block_boundaries(k):
     rng = random.Random(k)
     # odd K: outer is longer than the inner; even K: the inner is longer
-    outer = PowerSeries("z", SURD, _rand_surds(rng, k + 1 + k % 2))
-    inner = PowerSeries("z", SURD, [SURD.zero] + _rand_surds(rng, k + 1 - k % 2))
+    outer = PowerSeries(SURD, _rand_surds(rng, k + 1 + k % 2))
+    inner = PowerSeries(SURD, [SURD.zero] + _rand_surds(rng, k + 1 - k % 2))
     result = compose(outer, inner)
     assert result == horner_compose(outer, inner)
     assert result.order == k
@@ -209,9 +206,9 @@ def test_compose_matches_horner_at_block_boundaries(k):
 def test_compose_matches_horner_on_zero_padded_inners(k):
     rng = random.Random(200 + k)
     n = (k + 1) // 2
-    outer = PowerSeries("z", SURD, _rand_surds(rng, k + 1))
+    outer = PowerSeries(SURD, _rand_surds(rng, k + 1))
     half = [SURD.one] + _rand_surds(rng, n - 1)
-    inner = PowerSeries("z", SURD, [SURD.zero] + half + [SURD.zero] * (k - n))
+    inner = PowerSeries(SURD, [SURD.zero] + half + [SURD.zero] * (k - n))
     assert compose(outer, inner) == horner_compose(outer, inner)
 
 
@@ -224,8 +221,8 @@ def test_compose_makes_few_series_products(monkeypatch):
     rng = random.Random(80)
     backend = DecimalBackend(20)
     tail = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(160)]
-    outer = PowerSeries("z", backend, [0] + tail[:80])
-    inner = PowerSeries("z", backend, [0] + tail[80:])
+    outer = PowerSeries(backend, [0] + tail[:80])
+    inner = PowerSeries(backend, [0] + tail[80:])
     compose(outer, inner)
     assert len(calls) <= 2 * math.isqrt(80) + 2
 
@@ -234,11 +231,11 @@ def test_compose_matches_horner_on_truncpoly():
     backend = TruncPolyBackend(3)
     eps = TruncPoly(3, {1: 1})
     surd = backend.from_surd
-    outer = PowerSeries("z", backend, [
+    outer = PowerSeries(backend, [
         backend.one, eps, backend.zero, surd(SurdRational({2: Fraction(-1, 3)})) * eps * eps,
         backend.from_fraction(Fraction(5, 7)), eps + surd(SurdRational({3: 1})),
     ])
-    inner = PowerSeries("z", backend, [
+    inner = PowerSeries(backend, [
         backend.zero, backend.one + eps, surd(SURD.half_power(2, 5)), backend.zero, eps * eps * eps,
     ])
     result = compose(outer, inner)
@@ -269,7 +266,7 @@ def _padded_series_st():
     # leading zeros, then coefficients that are often zero; all-zero series included
     coeffs = st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), min_size=1, max_size=8)
     return st.tuples(st.integers(0, 3), coeffs).map(
-        lambda t: PowerSeries("z", SURD, [SURD.zero] * t[0] + t[1])
+        lambda t: PowerSeries(SURD, [SURD.zero] * t[0] + t[1])
     )
 
 
@@ -285,7 +282,7 @@ def _trailing_zeros_series_st():
     # coefficients that are often zero, then up to four trailing zeros
     coeffs = st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), min_size=1, max_size=8)
     return st.tuples(coeffs, st.integers(0, 4)).map(
-        lambda t: PowerSeries("z", SURD, t[0] + [SURD.zero] * t[1])
+        lambda t: PowerSeries(SURD, t[0] + [SURD.zero] * t[1])
     )
 
 
@@ -303,7 +300,7 @@ nonzero_rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 @given(nonzero_rational_st, st.lists(st.one_of(st.just(SURD.zero), multi_surd_st), max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_revert_matches_loop_revert(c1, tail):
-    f = PowerSeries("z", SURD, [0, c1] + tail)
+    f = PowerSeries(SURD, [0, c1] + tail)
     assert revert(f) == loop_revert(f)
 
 
@@ -313,7 +310,7 @@ def test_revert_matches_loop_revert(c1, tail):
 def test_revert_newton_branch_matches_loop_revert(k):
     rng = random.Random(100 + k)
     c1 = Fraction(-3, 2) if k % 2 else Fraction(2, 5)
-    f = PowerSeries("z", SURD, [0, c1, 0] + _rand_surds(rng, k - 2))
+    f = PowerSeries(SURD, [0, c1, 0] + _rand_surds(rng, k - 2))
     g = revert(f)
     assert g.order == k
     assert g == loop_revert(f)
@@ -324,15 +321,15 @@ def test_revert_newton_branch_on_truncpoly_and_decimal():
     eps = TruncPoly(2, {1: 1})
     rng = random.Random(7)
     tail = [backend.from_surd(c) + eps * rng.randint(-2, 2) for c in _rand_surds(rng, 18)]
-    f = PowerSeries("z", backend, [backend.zero, backend.from_fraction(Fraction(3, 4))] + tail)
+    f = PowerSeries(backend, [backend.zero, backend.from_fraction(Fraction(3, 4))] + tail)
     assert revert(f) == loop_revert(f)
 
     # decimal:50 against the exact inverse of the same rational series
     coeffs = [0, Fraction(5, 3), 0]
     coeffs += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(19)]
     decimal = DecimalBackend(50)
-    approx = revert(PowerSeries("z", decimal, coeffs))
-    exact = loop_revert(PowerSeries("z", SURD, coeffs))
+    approx = revert(PowerSeries(decimal, coeffs))
+    exact = loop_revert(PowerSeries(SURD, coeffs))
     assert approx.order == exact.order == 21
     for a, e in zip(approx.coeffs, exact.coeffs):
         e = surd_oracle_decimal(e.terms, 120)
@@ -343,18 +340,18 @@ def test_loops_match_references_on_truncpoly_and_decimal():
     backend = TruncPolyBackend(3)
     eps = TruncPoly(3, {1: 1})
     surd = backend.from_surd
-    f = PowerSeries("z", backend, [
+    f = PowerSeries(backend, [
         backend.zero, backend.from_fraction(Fraction(2, 3)), eps, backend.zero,
         surd(SurdRational({2: Fraction(-1, 3)})) * eps + surd(SURD.half_power(3, 1)), eps * eps,
     ])
-    h = PowerSeries("z", backend, [backend.zero, 0, backend.one + eps, surd(SURD.half_power(2, 5))])
+    h = PowerSeries(backend, [backend.zero, 0, backend.one + eps, surd(SURD.half_power(2, 5))])
     assert f * h == convolve(f, h)
     assert revert(f) == loop_revert(f)
 
     decimal = DecimalBackend(50)
     coeffs = [0, Fraction(3, 7), Fraction(-1, 3), 0, Fraction(5, 11), Fraction(2, 9)]
-    f = PowerSeries("z", decimal, coeffs + [Fraction(-7, 13)] + [Fraction(1, 17)] * 6)
-    h = PowerSeries("z", decimal, [0, 0] + coeffs[::-1])
+    f = PowerSeries(decimal, coeffs + [Fraction(-7, 13)] + [Fraction(1, 17)] * 6)
+    h = PowerSeries(decimal, [0, 0] + coeffs[::-1])
     assert f * h == convolve(f, h)
     assert f * f == convolve(f, f)
     assert revert(f) == loop_revert(f)
@@ -363,7 +360,7 @@ def test_loops_match_references_on_truncpoly_and_decimal():
 def test_series_loops_call_no_per_term_surd_operators(monkeypatch):
     # a silent fallback to one SurdRational * and + per term would show here
     tail = [SurdRational({n: Fraction(1, n), 1: -1}) for n in range(2, 9)]
-    f = PowerSeries("z", SURD, [SURD.zero, SURD.one] + tail)
+    f = PowerSeries(SURD, [SURD.zero, SURD.one] + tail)
     calls = {"mul": 0, "add": 0}
 
     def counted(kind, fn):
@@ -379,7 +376,7 @@ def test_series_loops_call_no_per_term_surd_operators(monkeypatch):
     # only g_m = -residual / c_1, once per coefficient after the linear one
     assert calls == {"mul": f.order - 1, "add": 0}
     calls.update(mul=0, add=0)
-    f * PowerSeries("z", SURD, g.coeffs)
+    f * PowerSeries(SURD, g.coeffs)
     assert calls == {"mul": 0, "add": 0}
     monkeypatch.undo()
     assert g == loop_revert(f)
@@ -438,6 +435,6 @@ def test_euler_inverse_undoes_undeformed_jackson():
 
 def test_pressure_euler_pair_on_surds():
     coeffs = [SURD.zero] + [SURD.half_power(n, 5) for n in range(1, 6)]
-    f = PowerSeries("z", SURD, coeffs)
+    f = PowerSeries(SURD, coeffs)
     stepped = euler_inverse(jackson_apply(UNDEFORMED, f))
     assert stepped == f
