@@ -28,7 +28,7 @@ from .exact import (
     to_decimal,
 )
 from .perturb import hamiltonian_split, two_param_split
-from .series import PowerSeries
+from .series import PowerSeries, compose
 from .structfn import (
     Interpolated,
     QBasicOfQuadratic,
@@ -36,6 +36,7 @@ from .structfn import (
     Quadratic,
     QuadraticOfQBasic,
     UNDEFORMED,
+    _over_digit_limit,
     _parse_rational,
     eval_eps,
     eval_structure,
@@ -60,6 +61,9 @@ MAX_LEVEL_DIGITS = 20_000  # eps-expand: --order times the digits of --n, about 
 MAX_DECIMAL_DIGITS = 1000  # decimal:<digits>
 MAX_SWEEP_POINTS = 1000  # values of one --sweep, and points of the whole grid
 
+# An error line quotes a number of more digits by its digit count.
+_QUOTED_DIGITS = 40
+
 
 class UsageError(ValueError):
     """Invalid command-line input beyond what argparse checks."""
@@ -67,7 +71,22 @@ class UsageError(ValueError):
 
 def _check_cap(value: int, cap: int, what: str) -> None:
     if value > cap:
-        raise UsageError(f"{what} is {_text(value)}, above the cap of {cap}")
+        text = _text(value)
+        shown = text if len(text) <= _QUOTED_DIGITS else f"a number of {len(text)} digits"
+        raise UsageError(f"{what} is {shown}, above the cap of {cap}")
+
+
+def _int_flag(text: str) -> int:
+    """int(text) for an integer flag, with argparse's message for a bad value;
+    a number int() refuses for its length is named by its digit count instead
+    of being echoed whole."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        if digits.isdecimal():
+            raise argparse.ArgumentTypeError(_over_digit_limit(len(digits))) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -124,7 +143,9 @@ def _parse_backend_flag(text: str) -> Backend:
     if text.startswith("decimal:"):
         digits = text.split(":", 1)[1]
         try:
-            backend = DecimalBackend(int(digits))
+            backend = DecimalBackend(_int_flag(digits))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"bad decimal digit budget: {exc}") from exc
         except ValueError as exc:
             raise UsageError(f"bad decimal digit budget {digits!r}") from exc
         _check_cap(backend.digits, MAX_DECIMAL_DIGITS, "decimal digit budget")
@@ -151,6 +172,8 @@ def _checked_sf(sf, args, **params):
     below 2 came from the user, so they are usage errors.
     """
     _check_cap(args.order, MAX_ORDER, "--K")
+    if isinstance(sf, QBasicSeries):  # V_k has eps-degree k - 1 < K, so a higher order changes no cell
+        _check_cap(sf.order, MAX_ORDER, "the q-eps order")
     try:
         sf = sf.replace(**params)
     except ValueError as exc:
@@ -380,10 +403,13 @@ def _check_closed_forms() -> bool:
         (Fraction(2, 5), Fraction(7, 3)),
     ]
     for mu, q in pairs:
+        # V_k = [x**k] P(z(x)) by the full-order reversion: the engine's small
+        # tables are a Lagrange inversion too, so they would not check the forms
         sf = QuadraticOfQBasic(mu, q)
-        table = virial_coefficients(particle_series(sf, 5))
+        x = particle_series(sf, 5)
+        table = compose(pressure_series(x), fugacity_of_density(x)).coeffs
         for k in range(2, 6):
-            if table.coefficient(k) != closed_form_virial(sf, k, SURD):
+            if table[k] != closed_form_virial(sf, k, SURD):
                 return False
     return True
 
@@ -509,7 +535,7 @@ def cmd_check_paper(args) -> tuple[str, int]:
 def _add_common(parser: argparse.ArgumentParser, *, model_flags: bool) -> None:
     if model_flags:
         parser.add_argument("--sf", required=True, help="structure-function descriptor, e.g. mu:1/4 or mu-q:1/4,3/2")
-        parser.add_argument("--K", dest="order", type=int, default=8, help="truncation order (default 8)")
+        parser.add_argument("--K", dest="order", type=_int_flag, default=8, help="truncation order (default 8)")
         parser.add_argument("--backend", default="exact", help="exact | decimal:<digits> (default exact)")
     parser.add_argument("--format", default="csv", choices=["csv", "json", "pretty"], help="output format")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -539,15 +565,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if command in (None, "eps-expand"):
         p_eps = sub.add_parser("eps-expand", help="basic-number expansion tables in eps = q - 1")
-        p_eps.add_argument("--order", dest="expansion_order", type=int, default=6, help="eps order")
-        p_eps.add_argument("--n", type=int, default=None, help="fixed level n for the binomial-basis row")
+        p_eps.add_argument("--order", dest="expansion_order", type=_int_flag, default=6, help="eps order")
+        p_eps.add_argument("--n", type=_int_flag, default=None, help="fixed level n for the binomial-basis row")
         _add_common(p_eps, model_flags=False)
         p_eps.set_defaults(handler=cmd_eps_expand)
 
     if command in (None, "hamiltonian"):
         p_ham = sub.add_parser("hamiltonian", help="ladder-average Hamiltonian split")
-        p_ham.add_argument("--order", dest="expansion_order", type=int, default=4, help="eps order")
-        p_ham.add_argument("--order-mu", dest="order_mu", type=int, default=None,
+        p_ham.add_argument("--order", dest="expansion_order", type=_int_flag, default=4, help="eps order")
+        p_ham.add_argument("--order-mu", dest="order_mu", type=_int_flag, default=None,
                            help="also expand in mu up to this order (two-parameter split)")
         _add_common(p_ham, model_flags=False)
         p_ham.set_defaults(handler=cmd_hamiltonian)

@@ -31,11 +31,12 @@ residual of revert's power table) is one backend `dot`: the ring products of
 one operator per term, but on surds one normalization per sum, not per term.
 A product's dots span only the factors' first to last nonzero coefficients
 (Newton's inner is zero-padded), and an even baby power u**(2r) squares u**r
-by one dot over each coefficient's lower half.  The gas pipeline reverts x(z)
-to order ceil(K/2) only, as h, and composes once: V_k = L_(k-1) - (k-1)*Q_k,
-Q = pressure(h), L = x*h'/h, exact as Taylor and one Newton step show (see
-`thermo`).  Its K=80 `q-mu:3/2,1/7` table on decimal:50 makes dots of 34,155
-terms in all (61,645 with a full reversion; 78,409 also without span cuts).
+by one dot over each coefficient's lower half.  Past its small exact tables,
+the gas pipeline reverts x(z) to order ceil(K/2) only, as h, and composes
+once: V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h, exact as Taylor
+and one Newton step show (see `thermo`).  Its K=80 `q-mu:3/2,1/7` table on
+decimal:50 makes dots of 34,155 terms in all (61,645 with a full reversion;
+78,409 also without span cuts).
 """
 
 from __future__ import annotations

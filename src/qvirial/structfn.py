@@ -276,10 +276,13 @@ def _parse_rational(text: str) -> Fraction:
     except ZeroDivisionError as exc:
         raise DescriptorError(f"zero denominator: {text!r}") from exc
     except ValueError as exc:  # past the str -> int digit limit, which Python 3.10.7 on enforces
-        digits, limit = max(map(len, re.findall(r"\d+", text))), sys.get_int_max_str_digits()
-        raise DescriptorError(
-            f"a number of {digits} digits is above the {limit}-digit limit on integer conversion"
-        ) from exc
+        raise DescriptorError(_over_digit_limit(max(map(len, re.findall(r"\d+", text))))) from exc
+
+
+def _over_digit_limit(digits: int) -> str:
+    """The one-line error for a number int() refuses for its length: its digit
+    count, not the number itself."""
+    return f"a number of {digits} digits is above the {sys.get_int_max_str_digits()}-digit limit on integer conversion"
 
 
 _KINDS = {cls.kind: cls for cls in (QBasic, Quadratic, QuadraticOfQBasic, QBasicOfQuadratic, Interpolated)}

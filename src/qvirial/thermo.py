@@ -14,27 +14,36 @@ A model enters once, as `particle_series(sf, K, backend)`; the pressure, the
 fugacity and the virial table are functions of that x(z) alone, reading K off
 x.order and the ring off x.backend.
 
-The engine reverts x(z) only to order n = ceil(K/2), as h, and composes once:
-V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K since
-z(x) - h lies in x**(n+1): Taylor and one Newton step give pressure(z(x)) = Q - x*Q' + x*L.
+The table comes from Lagrange inversion: with x = z*a(z),
+V_k = [z**(k-1)] a(z)**(1-k) / k.  Surd tables up to K = 16 sum it over the
+partitions of k - 1 in integer arithmetic, with no series products at all.
+Longer, decimal and eps-polynomial tables take the series engine, which
+reverts x(z) only to order n = ceil(K/2), as h, and composes once:
+V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K
+since z(x) - h lies in x**(n+1): Taylor and one Newton step give
+pressure(z(x)) = Q - x*Q' + x*L.
 
-Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) come from Lagrange
-inversion: with x = z*a(z), V_k = [z**(k-1)] a(z)**(1-k) / k, the power taken
-by J. C. P. Miller's recurrence with ring operators only, so they share no code
-with the series engine they cross-check.  The source publication's printed
-fifth-order form differs from them by a misprint; `qvirial check-paper`
-reports it.
+Closed forms for V_2..V_5 as polynomials in phi(2)..phi(5) take the same
+inversion with the power built by J. C. P. Miller's recurrence from ring
+operators only.  `qvirial check-paper` cross-checks them against the
+full-order reversion, pressure(z(x)), with which they share no code, and
+reports the misprint by which the source publication's printed fifth-order
+form differs from them.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import Frozen, UnsupportedOrderError
 from .exact import (
     Backend,
     SURD,
     Scalar,
+    SurdBackend,
     SurdRational,
     TruncPolyBackend,
+    _surd,
     radical_normalize,
 )
 from .series import PowerSeries, compose, euler_inverse, jackson_apply, revert
@@ -52,6 +61,7 @@ __all__ = [
 ]
 
 CLOSED_FORM_MAX_ORDER = 5
+_PARTITION_MAX_ORDER = 16  # longer exact tables take the series engine
 
 
 def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
@@ -116,9 +126,76 @@ def _first_nonpositive_phi(x: PowerSeries) -> int | None:
 
 
 def virial_coefficients(x: PowerSeries) -> VirialTable:
-    """Virial table V_1..V_K of the density series x(z), K = x.order: revert
-    x(z) to order n = ceil(K/2) only, as h, and compose the pressure P with it
-    once; V_k = L_(k-1) - (k-1)*Q_k with Q = P(h), L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
+    """Virial table V_1..V_K of the density series x(z), K = x.order.
+
+    A surd x(z) of order K <= 16 whose c_1 is a nonzero rational and whose
+    coefficients have one radicand each (every exact `particle_series`) takes
+    the partition sum of Lagrange inversion, `_partition_virials`; any other
+    takes the series engine, `_series_virials`.  Both give the same canonical
+    values."""
+    values = _partition_virials(x) if _takes_partition_sum(x) else _series_virials(x)
+    return VirialTable(values, _first_nonpositive_phi(x))
+
+
+def _takes_partition_sum(x: PowerSeries) -> bool:
+    c = x.coeffs
+    return (
+        isinstance(x.backend, SurdBackend) and 1 <= x.order <= _PARTITION_MAX_ORDER
+        and not c[0] and bool(c[1]) and c[1].is_rational() and all(len(v._num) <= 1 for v in c)
+    )
+
+
+def _partition_virials(x: PowerSeries) -> tuple[SurdRational, ...]:
+    """V_1..V_K by Lagrange inversion summed over partitions (Comtet, Advanced
+    Combinatorics, 1974, 3.8).  With x = c_1*z*(1 + sum_i a_i z**i),
+    a_i = c_(i+1)/c_1, V_1 = 1 and for n = k - 1 >= 1
+
+      V_k = c_1**(-n)/k * sum over partitions of n, with l parts and part i
+            m_i times, of (-1)**l * C(n+l-1, l) * l!/prod(m_i!) * prod(a_i**m_i).
+
+    A depth-first walk adds parts in nonincreasing order, so every node is a
+    partition of some n < K, built from its parent by integer products; each
+    a_i is one radicand r_i with an integer numerator and denominator, so each
+    node is too.  Each V_k is one lcm of its nodes' denominators and one
+    normalization."""
+    k_max, c1 = x.order, x.coeffs[1]
+    (c1_num,), c1_den = c1._num.values(), c1._den
+    sign = 1 if c1_num > 0 else -1
+    parts = []  # (i, r_i, numerator, denominator > 0) of each nonzero a_i, ascending i
+    for i in range(1, k_max):
+        for r, v in x.coeffs[i + 1]._num.items():
+            parts.append((i, r, sign * v * c1_den, x.coeffs[i + 1]._den * abs(c1_num)))
+    nodes: list[list[tuple[int, int, int]]] = [[] for _ in range(k_max)]  # (num, r, den) by n
+
+    def walk(n, top, length, top_count, multinomial, num, rad, den):
+        # the children of a partition of n into `length` parts, the smallest
+        # part `top` occurring `top_count` times; multinomial = length!/prod(m_i!)
+        for i, r, v, d in parts:
+            if i > top or n + i >= k_max:
+                break
+            count = top_count + 1 if i == top else 1
+            m, g = multinomial * (length + 1) // count, math.gcd(rad, r)
+            num_i, rad_i, den_i = num * v * g, (rad // g) * (r // g), den * d
+            term = math.comb(n + i + length, length + 1) * m * num_i
+            nodes[n + i].append((term if length % 2 else -term, rad_i, den_i))
+            walk(n + i, i, length + 1, count, m, num_i, rad_i, den_i)
+
+    walk(0, k_max, 0, 0, 1, 1, 1, 1)
+    values = [SURD.one]
+    for n in range(1, k_max):
+        den = math.lcm(*[d for _, _, d in nodes[n]])
+        acc: dict[int, int] = {}
+        for num, r, d in nodes[n]:
+            acc[r] = acc.get(r, 0) + num * (den // d)
+        scale = c1_den**n * sign**n  # c_1**(-n) / (n + 1)
+        values.append(_surd({r: v * scale for r, v in acc.items()}, den * (n + 1) * abs(c1_num) ** n))
+    return tuple(values)
+
+
+def _series_virials(x: PowerSeries) -> tuple[Scalar, ...]:
+    """V_1..V_K by the series engine: revert x(z) to order n = ceil(K/2) only,
+    as h, and compose the pressure P with it once; V_k = L_(k-1) - (k-1)*Q_k
+    with Q = P(h), L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
     Q + P'(h)*d, and P'(h) = x(h)/h = Q'/h' with Newton's d = -(x(h) - x)/x'(h)
     gives Q - x*Q' + x*L.  L_m = ((m+1)*u_m - sum_{i>=1} u_i*L_(m-i)) / u_0, u = h/x."""
     backend, k, n = x.backend, x.order, (x.order + 1) // 2
@@ -132,8 +209,7 @@ def virial_coefficients(x: PowerSeries) -> VirialTable:
             t = min(m, n - 1)
             ys = [backend.from_ratio(-m - 1, 1)] + logd[m - t:][::-1]
             logd.append(backend.dot((u[m],) + u[1:t + 1], ys) * minus_c1)
-        values = tuple(logd[j] - j * q[j + 1] for j in range(k))
-    return VirialTable(values, _first_nonpositive_phi(x))
+        return tuple(logd[j] - j * q[j + 1] for j in range(k))
 
 
 def closed_form_virial(sf: StructureFunction, k: int, backend: Backend = SURD) -> Scalar:

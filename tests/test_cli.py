@@ -226,7 +226,7 @@ _DIGIT_LIMIT = f"5001 digits is above the {sys.get_int_max_str_digits()}-digit l
     (["virial", "--sf", f"q-eps:order=1{'0' * 5000}", "--K", "3"], _DIGIT_LIMIT),
     # each number fits, but the value count 10^4300 + 1 has 4,301 digits
     (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:10:1/1{'0' * 4299}"],
-     f"is 1{'0' * 4299}1, above the cap of 1000"),
+     "is a number of 4301 digits, above the cap of 1000"),
 ])
 def test_numbers_past_the_int_digit_limit_exit_2(capsys, argv, message):
     # a number int() cannot read or print is a one-line usage error
@@ -235,6 +235,47 @@ def test_numbers_past_the_int_digit_limit_exit_2(capsys, argv, message):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
     assert message in err
+
+
+_LONG = "1" + "0" * 4000  # fits int(), past every cap
+_TOO_LONG = "1" + "0" * 5000  # past int()'s digit limit
+_PAST_LIMIT = f"a number of {_DIGIT_LIMIT} on integer conversion"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["virial", "--sf", f"q-eps:order=1{'0' * 300}", "--K", "3"],
+     "the q-eps order is a number of 301 digits, above the cap of 100"),
+    (["virial", "--sf", "q-eps:order=101", "--K", "3"], "the q-eps order is 101, above the cap of 100"),
+    (["virial", "--sf", "mu:1/3", "--backend", f"decimal:{_LONG}"],
+     "decimal digit budget is a number of 4001 digits, above the cap of 1000"),
+    (["virial", "--sf", "mu:1/3", "--backend", f"decimal:{_TOO_LONG}"], _PAST_LIMIT),
+    (["virial", "--sf", "mu:1/3", "--K", _LONG], "--K is a number of 4001 digits, above the cap of 100"),
+    (["virial", "--sf", "mu:1/3", "--K", _TOO_LONG], f"argument --K: {_PAST_LIMIT}"),
+    (["series", "--sf", "mu:1/3", "--K", _TOO_LONG], f"argument --K: {_PAST_LIMIT}"),
+    (["eps-expand", "--n", _TOO_LONG], f"argument --n: {_PAST_LIMIT}"),
+    (["hamiltonian", "--order-mu", _TOO_LONG], f"argument --order-mu: {_PAST_LIMIT}"),
+], ids=["q-eps-order", "q-eps-order-101", "decimal", "decimal-past-limit", "K", "K-past-limit",
+        "series-K-past-limit", "n-past-limit", "order-mu-past-limit"])
+def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
+    # an oversized integer is named by its digit count, never echoed whole
+    code, out, err = outcome(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(message + "\n")
+    assert max(map(len, err.splitlines())) <= 200
+    if not message.startswith("argument"):  # argparse prints its usage lines first
+        assert err.count("\n") == 1
+
+
+def test_an_ordinary_bad_integer_keeps_argparse_s_message(capsys):
+    code, out, err = outcome(capsys, main, ["virial", "--sf", "mu:1/3", "--K", "3.5"])
+    assert (code, out) == (2, "")
+    assert err.endswith("qvirial virial: error: argument --K: invalid int value: '3.5'\n")
+
+
+def test_the_largest_q_eps_order_runs(capsys):
+    code, out, err = run_cli(capsys, "virial", "--sf", "q-eps:order=100", "--K", "3")
+    assert (code, err) == (0, "")
+    assert "# backend=truncpoly[eps<=100]" in out
 
 
 @pytest.mark.parametrize("digits", [12, 50])
@@ -703,6 +744,19 @@ def test_check_paper_reports_a_failed_anchor_and_an_agreeing_misprint(capsys, mo
     ]
     assert [c["status"] for c in payload["checks"]][:6] == ["PASS"] * 6
     assert payload["checks"][-1]["detail"] == "printed and engine agree"
+
+
+def test_the_closed_form_check_reverts_at_full_order(monkeypatch):
+    # the engine's small exact tables are a Lagrange inversion, as the closed
+    # forms are; the check compares the forms with the full-order reversion
+    def no_engine(x):
+        raise AssertionError("the closed-form check must not read the engine's table")
+
+    orders = []
+    monkeypatch.setattr(cli, "virial_coefficients", no_engine)
+    monkeypatch.setattr(thermo, "revert", lambda f, revert=thermo.revert: orders.append(f.order) or revert(f))
+    assert cli._check_closed_forms()
+    assert orders == [5] * 5
 
 
 def test_check_paper_rejects_csv():

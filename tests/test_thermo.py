@@ -41,6 +41,7 @@ from qvirial import (
 )
 
 from qvirial import cli, series, thermo
+from qvirial.errors import NonzeroConstantTermError, ZeroLinearCoefficientError
 
 from helpers import (
     FractionSurd,
@@ -550,6 +551,65 @@ def test_half_order_reversion_table_equals_the_full_composition(c1, tail):
 def test_half_order_reversion_table_equals_the_full_composition_on_models(descriptor, order, backend):
     x = particle_series(parse_descriptor(descriptor), order, backend)
     assert virial_coefficients(x).values == full_reversion_table(x)
+
+
+# -- small exact tables: the partition sum of Lagrange inversion ---------------------
+
+
+# mu = 1/m and q = -1 make a phi(n) vanish; the third pool has 100-digit numbers
+_model_params = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.integers(1, 8).map(lambda m: Fraction(1, m)),
+    st.builds(Fraction, st.integers(-10**100, 10**100), st.integers(10**99, 10**100)),
+)
+
+
+@given(st.one_of(
+           _model_params.filter(lambda q: q != 1).map(QBasic),
+           _model_params.map(Quadratic),
+           st.builds(QuadraticOfQBasic, _model_params, _model_params),
+           st.builds(Interpolated, st.just(Fraction(1)), _model_params,
+                     _model_params.filter(lambda q: q > 0 and q != 1))),
+       st.integers(2, 16))
+@settings(max_examples=60, deadline=None)
+def test_small_exact_tables_equal_the_full_composition(sf, order):
+    x = particle_series(sf, order)
+    full = full_reversion_table(x)
+    assert virial_coefficients(x).values == full
+    assert thermo._series_virials(x) == full  # the engine, which these tables no longer take
+
+
+def series_calls(monkeypatch):
+    """A list that records the inner order of each `compose` call of the series engine."""
+    orders = []
+    monkeypatch.setattr(thermo, "compose", lambda f, g, compose=thermo.compose: orders.append(g.order) or compose(f, g))
+    return orders
+
+
+def test_the_partition_sum_takes_exact_tables_up_to_k16(monkeypatch):
+    orders = series_calls(monkeypatch)
+    for order in (2, 16):
+        virial_coefficients(particle_series(parse_descriptor("mu-q:1/5,3/2"), order))
+    assert orders == []
+    virial_coefficients(particle_series(parse_descriptor("mu-q:1/5,3/2"), 17))
+    assert orders == [17]
+
+
+def test_a_multi_radicand_density_series_takes_the_series_engine(monkeypatch):
+    orders = series_calls(monkeypatch)
+    x = PowerSeries(SURD, [0, 1, SurdRational({1: Fraction(1, 3), 2: Fraction(-1, 5)}), SurdRational({3: 2})])
+    assert virial_coefficients(x).values == full_reversion_table(x)
+    assert orders == [3]
+
+
+@pytest.mark.parametrize("c0, c1, error", [
+    (SURD.one, SURD.one, NonzeroConstantTermError),
+    (SURD.zero, SURD.zero, ZeroLinearCoefficientError),
+    (SURD.zero, SURD.half_power(2, 1), ZeroLinearCoefficientError),
+], ids=["c0", "c1-zero", "c1-irrational"])
+def test_a_density_series_off_the_partition_sum_raises_the_engines_error(c0, c1, error):
+    with pytest.raises(error):
+        virial_coefficients(PowerSeries(SURD, [c0, c1, SURD.half_power(2, 5), SURD.half_power(3, 5)]))
 
 
 # -- metamorphic identities of the engine ------------------------------------------
