@@ -28,7 +28,7 @@ from .exact import (
     to_decimal,
 )
 from .perturb import hamiltonian_split, two_param_split
-from .series import PowerSeries, compose
+from .series import PowerSeries, compose, revert
 from .structfn import (
     Interpolated,
     QBasicOfQuadratic,
@@ -289,19 +289,26 @@ def cmd_hamiltonian(args) -> tuple[str, int]:
     return _format_table(args.format, meta, columns, rows), 0
 
 
+def _quoted(text: str) -> str:
+    """repr(text) for an error line, or its length past _QUOTED_DIGITS characters."""
+    return repr(text) if len(text) <= _QUOTED_DIGITS else f"<{len(text)} characters>"
+
+
 def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
     head, sep, spec = text.partition("=")
     parts = spec.split(":")
-    if not sep or len(parts) != 3:
-        raise UsageError(f"bad sweep {text!r}; expected <param>=<start>:<stop>:<step>")
     param = head.strip()
+    # an error line names a long sweep by its parameter
+    label = repr(text) if len(text) <= _QUOTED_DIGITS else f"on {_quoted(param)}"
+    if not sep or len(parts) != 3:
+        raise UsageError(f"bad sweep {label}; expected <param>=<start>:<stop>:<step>")
     start, stop, step = (_parse_rational(p) for p in parts)
     if step == 0:
         raise UsageError("sweep step must be nonzero")
     count = (stop - start) // step + 1
     if count < 1:
-        raise UsageError(f"sweep {text!r} produces no values")
-    _check_cap(count, MAX_SWEEP_POINTS, f"the value count of sweep {text!r}")
+        raise UsageError(f"sweep {label} produces no values")
+    _check_cap(count, MAX_SWEEP_POINTS, f"the value count of sweep {label}")
     return param, [start + i * step for i in range(count)]
 
 
@@ -316,7 +323,7 @@ def cmd_sweep(args) -> tuple[str, int]:
     param_names = [param for param, _ in sweeps]
     for param in param_names:
         if param not in allowed:
-            raise UsageError(f"{param!r} is not a parameter of {sf.describe()} (has {allowed})")
+            raise UsageError(f"{_quoted(param)} is not a parameter of {sf.describe()} (has {allowed})")
     if len(set(param_names)) != len(param_names):
         raise UsageError("each parameter can be swept only once")
     backend = _parse_backend_flag(args.backend)
@@ -404,10 +411,10 @@ def _check_closed_forms() -> bool:
     ]
     for mu, q in pairs:
         # V_k = [x**k] P(z(x)) by the full-order reversion: the engine's small
-        # tables are a Lagrange inversion too, so they would not check the forms
+        # tables and z(x) are a Lagrange inversion too, so they would not check the forms
         sf = QuadraticOfQBasic(mu, q)
         x = particle_series(sf, 5)
-        table = compose(pressure_series(x), fugacity_of_density(x)).coeffs
+        table = compose(pressure_series(x), revert(x)).coeffs
         for k in range(2, 6):
             if table[k] != closed_form_virial(sf, k, SURD):
                 return False
@@ -532,75 +539,75 @@ def cmd_check_paper(args) -> tuple[str, int]:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *, model_flags: bool) -> None:
-    if model_flags:
-        parser.add_argument("--sf", required=True, help="structure-function descriptor, e.g. mu:1/4 or mu-q:1/4,3/2")
-        parser.add_argument("--K", dest="order", type=_int_flag, default=8, help="truncation order (default 8)")
-        parser.add_argument("--backend", default="exact", help="exact | decimal:<digits> (default exact)")
-    parser.add_argument("--format", default="csv", choices=["csv", "json", "pretty"], help="output format")
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+def _output_flags(fmt: str = "csv") -> tuple:
+    return (("--format", {"default": fmt, "choices": ["csv", "json", "pretty"], "help": "output format"}),
+            ("--out", {"default": None, "help": "write output to this path instead of stdout"}))
 
 
-COMMANDS = ("virial", "series", "eps-expand", "hamiltonian", "sweep", "check-paper")
+_MODEL_FLAGS = (
+    ("--sf", {"required": True, "help": "structure-function descriptor, e.g. mu:1/4 or mu-q:1/4,3/2"}),
+    ("--K", {"dest": "order", "type": _int_flag, "default": 8, "help": "truncation order (default 8)"}),
+    ("--backend", {"default": "exact", "help": "exact | decimal:<digits> (default exact)"}),
+) + _output_flags()
+
+# name: (help, handler, flags in the order help lists them)
+_JOBS = {
+    "virial": ("virial coefficients V_1..V_K", cmd_virial, _MODEL_FLAGS),
+    "series": ("particle, pressure, and fugacity series", cmd_series, _MODEL_FLAGS),
+    "eps-expand": ("basic-number expansion tables in eps = q - 1", cmd_eps_expand, (
+        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 6, "help": "eps order"}),
+        ("--n", {"type": _int_flag, "default": None, "help": "fixed level n for the binomial-basis row"}),
+    ) + _output_flags()),
+    "hamiltonian": ("ladder-average Hamiltonian split", cmd_hamiltonian, (
+        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 4, "help": "eps order"}),
+        ("--order-mu", {"dest": "order_mu", "type": _int_flag, "default": None,
+                        "help": "also expand in mu up to this order (two-parameter split)"}),
+    ) + _output_flags()),
+    "sweep": ("virial tables over a parameter grid", cmd_sweep, _MODEL_FLAGS + (
+        ("--sweep", {"action": "append", "default": [],
+                     "help": "<param>=<start>:<stop>:<step> (repeatable; rationals)"}),
+    )),
+    "check-paper": ("re-derive the published closed-form anchors and report misprints",
+                    cmd_check_paper, _output_flags("pretty")),
+}
+COMMANDS = tuple(_JOBS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with ``command`` one that registers only that subcommand."""
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    _, handler, flags = _JOBS[command]
+    for flag, spec in flags:
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(command=command, handler=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand, and the top-level --version."""
     parser = argparse.ArgumentParser(
         prog="qvirial",
         description="Exact virial expansions for deformed Bose gas models.",
     )
     parser.add_argument("--version", action="version", version=f"qvirial {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if command in (None, "virial"):
-        p_virial = sub.add_parser("virial", help="virial coefficients V_1..V_K")
-        _add_common(p_virial, model_flags=True)
-        p_virial.set_defaults(handler=cmd_virial)
-
-    if command in (None, "series"):
-        p_series = sub.add_parser("series", help="particle, pressure, and fugacity series")
-        _add_common(p_series, model_flags=True)
-        p_series.set_defaults(handler=cmd_series)
-
-    if command in (None, "eps-expand"):
-        p_eps = sub.add_parser("eps-expand", help="basic-number expansion tables in eps = q - 1")
-        p_eps.add_argument("--order", dest="expansion_order", type=_int_flag, default=6, help="eps order")
-        p_eps.add_argument("--n", type=_int_flag, default=None, help="fixed level n for the binomial-basis row")
-        _add_common(p_eps, model_flags=False)
-        p_eps.set_defaults(handler=cmd_eps_expand)
-
-    if command in (None, "hamiltonian"):
-        p_ham = sub.add_parser("hamiltonian", help="ladder-average Hamiltonian split")
-        p_ham.add_argument("--order", dest="expansion_order", type=_int_flag, default=4, help="eps order")
-        p_ham.add_argument("--order-mu", dest="order_mu", type=_int_flag, default=None,
-                           help="also expand in mu up to this order (two-parameter split)")
-        _add_common(p_ham, model_flags=False)
-        p_ham.set_defaults(handler=cmd_hamiltonian)
-
-    if command in (None, "sweep"):
-        p_sweep = sub.add_parser("sweep", help="virial tables over a parameter grid")
-        _add_common(p_sweep, model_flags=True)
-        p_sweep.add_argument("--sweep", action="append", default=[],
-                             help="<param>=<start>:<stop>:<step> (repeatable; rationals)")
-        p_sweep.set_defaults(handler=cmd_sweep)
-
-    if command in (None, "check-paper"):
-        p_check = sub.add_parser("check-paper", help="re-derive the published closed-form anchors and report misprints")
-        _add_common(p_check, model_flags=False)
-        p_check.set_defaults(handler=cmd_check_paper)
-        p_check.set_defaults(format="pretty")
-
+    for command, (help_text, _, _) in _JOBS.items():
+        _add_flags(sub.add_parser(command, help=help_text), command)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """One job's arguments, read by a flat parser of argv[0]'s flags; any other
+    argv, or one with leftover arguments, takes the full parser and its messages."""
+    if argv and argv[0] in _JOBS:
+        job = _add_flags(argparse.ArgumentParser(prog=f"qvirial {argv[0]}"), argv[0])
+        args, extra = job.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one job.  When argv[0] names a subcommand only its parser is built;
-    the full parser takes any other argv and reports leftover arguments."""
-    argv = sys.argv[1:] if argv is None else argv
-    args, extra = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    """Run one job."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         text, code = args.handler(args)
     except UnsupportedBackendError as exc:

@@ -14,11 +14,14 @@ A model enters once, as `particle_series(sf, K, backend)`; the pressure, the
 fugacity and the virial table are functions of that x(z) alone, reading K off
 x.order and the ring off x.backend.
 
-The table comes from Lagrange inversion: with x = z*a(z),
-V_k = [z**(k-1)] a(z)**(1-k) / k.  Surd tables up to K = 16 sum it over the
-partitions of k - 1 in integer arithmetic, with no series products at all.
-Longer, decimal and eps-polynomial tables take the series engine, which
-reverts x(z) only to order n = ceil(K/2), as h, and composes once:
+The table and z(x) come from Lagrange inversion: with x = z*a(z),
+V_k = [z**(k-1)] a(z)**(1-k) / k and [x**k] z = [z**(k-1)] a(z)**(-k) / k.
+Surd series up to K = 16 sum both over the partitions of k - 1 in integer
+arithmetic, with no series products at all; the two sums differ only in one
+binomial weight and the power of c_1.  Longer, decimal and eps-polynomial
+series revert x(z) by `series.revert` for z(x), and their tables take the
+series engine, which reverts x(z) only to order n = ceil(K/2), as h, and
+composes once:
 V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K
 since z(x) - h lies in x**(n+1): Taylor and one Newton step give
 pressure(z(x)) = Q - x*Q' + x*L.
@@ -84,7 +87,11 @@ def pressure_series(x: PowerSeries) -> PowerSeries:
 
 
 def fugacity_of_density(x: PowerSeries) -> PowerSeries:
-    """z as a series in the reduced density x = lambda**3/v (reversion of x(z))."""
+    """z as a series in the reduced density x = lambda**3/v (reversion of x(z)):
+    the partition sum of Lagrange inversion where the virial table takes it,
+    `revert` otherwise, with the same canonical values."""
+    if _takes_partition_sum(x):
+        return PowerSeries(x.backend, (x.backend.zero,) + _partition_sum(x, 1))
     return revert(x)
 
 
@@ -130,10 +137,10 @@ def virial_coefficients(x: PowerSeries) -> VirialTable:
 
     A surd x(z) of order K <= 16 whose c_1 is a nonzero rational and whose
     coefficients have one radicand each (every exact `particle_series`) takes
-    the partition sum of Lagrange inversion, `_partition_virials`; any other
+    the partition sum of Lagrange inversion, `_partition_sum(x, 0)`; any other
     takes the series engine, `_series_virials`.  Both give the same canonical
     values."""
-    values = _partition_virials(x) if _takes_partition_sum(x) else _series_virials(x)
+    values = _partition_sum(x, 0) if _takes_partition_sum(x) else _series_virials(x)
     return VirialTable(values, _first_nonpositive_phi(x))
 
 
@@ -145,18 +152,19 @@ def _takes_partition_sum(x: PowerSeries) -> bool:
     )
 
 
-def _partition_virials(x: PowerSeries) -> tuple[SurdRational, ...]:
-    """V_1..V_K by Lagrange inversion summed over partitions (Comtet, Advanced
-    Combinatorics, 1974, 3.8).  With x = c_1*z*(1 + sum_i a_i z**i),
-    a_i = c_(i+1)/c_1, V_1 = 1 and for n = k - 1 >= 1
+def _partition_sum(x: PowerSeries, s: int) -> tuple[SurdRational, ...]:
+    """c_1**(-(n+s))/(n+1) * [z**n] (1+A)**(-(n+s)) for n = 0..K-1, by Lagrange
+    inversion summed over partitions (Comtet, Advanced Combinatorics, 1974,
+    3.8): V_(n+1) for s = 0 and [x**(n+1)] z(x) for s = 1.  With
+    x = c_1*z*(1 + A), A = sum_i a_i z**i, a_i = c_(i+1)/c_1,
 
-      V_k = c_1**(-n)/k * sum over partitions of n, with l parts and part i
-            m_i times, of (-1)**l * C(n+l-1, l) * l!/prod(m_i!) * prod(a_i**m_i).
+      [z**n] (1+A)**(-(n+s)) = sum over partitions of n, with l parts and
+            part i m_i times, of (-1)**l * C(n+l-1+s, l) * l!/prod(m_i!) * prod(a_i**m_i).
 
     A depth-first walk adds parts in nonincreasing order, so every node is a
     partition of some n < K, built from its parent by integer products; each
     a_i is one radicand r_i with an integer numerator and denominator, so each
-    node is too.  Each V_k is one lcm of its nodes' denominators and one
+    node is too.  Each sum is one lcm of its nodes' denominators and one
     normalization."""
     k_max, c1 = x.order, x.coeffs[1]
     (c1_num,), c1_den = c1._num.values(), c1._den
@@ -165,7 +173,7 @@ def _partition_virials(x: PowerSeries) -> tuple[SurdRational, ...]:
     for i in range(1, k_max):
         for r, v in x.coeffs[i + 1]._num.items():
             parts.append((i, r, sign * v * c1_den, x.coeffs[i + 1]._den * abs(c1_num)))
-    nodes: list[list[tuple[int, int, int]]] = [[] for _ in range(k_max)]  # (num, r, den) by n
+    nodes: list[list[tuple[int, int, int]]] = [[(1, 1, 1)]] + [[] for _ in range(k_max - 1)]  # (num, r, den) by n
 
     def walk(n, top, length, top_count, multinomial, num, rad, den):
         # the children of a partition of n into `length` parts, the smallest
@@ -176,19 +184,19 @@ def _partition_virials(x: PowerSeries) -> tuple[SurdRational, ...]:
             count = top_count + 1 if i == top else 1
             m, g = multinomial * (length + 1) // count, math.gcd(rad, r)
             num_i, rad_i, den_i = num * v * g, (rad // g) * (r // g), den * d
-            term = math.comb(n + i + length, length + 1) * m * num_i
+            term = math.comb(n + i + length + s, length + 1) * m * num_i
             nodes[n + i].append((term if length % 2 else -term, rad_i, den_i))
             walk(n + i, i, length + 1, count, m, num_i, rad_i, den_i)
 
     walk(0, k_max, 0, 0, 1, 1, 1, 1)
-    values = [SURD.one]
-    for n in range(1, k_max):
+    values = []
+    for n in range(k_max):
         den = math.lcm(*[d for _, _, d in nodes[n]])
         acc: dict[int, int] = {}
         for num, r, d in nodes[n]:
             acc[r] = acc.get(r, 0) + num * (den // d)
-        scale = c1_den**n * sign**n  # c_1**(-n) / (n + 1)
-        values.append(_surd({r: v * scale for r, v in acc.items()}, den * (n + 1) * abs(c1_num) ** n))
+        scale = c1_den ** (n + s) * sign ** (n + s)  # c_1**(-(n+s)) / (n + 1)
+        values.append(_surd({r: v * scale for r, v in acc.items()}, den * (n + 1) * abs(c1_num) ** (n + s)))
     return tuple(values)
 
 

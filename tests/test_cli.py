@@ -254,8 +254,19 @@ _PAST_LIMIT = f"a number of {_DIGIT_LIMIT} on integer conversion"
     (["series", "--sf", "mu:1/3", "--K", _TOO_LONG], f"argument --K: {_PAST_LIMIT}"),
     (["eps-expand", "--n", _TOO_LONG], f"argument --n: {_PAST_LIMIT}"),
     (["hamiltonian", "--order-mu", _TOO_LONG], f"argument --order-mu: {_PAST_LIMIT}"),
+    # a sweep past 40 characters is named by its parameter, never echoed whole
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:10:1/1{'0' * 4299}"],
+     "the value count of sweep on 'mu' is a number of 4301 digits, above the cap of 1000"),
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:{_LONG}:1"],
+     "the value count of sweep on 'mu' is a number of 4001 digits, above the cap of 1000"),
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu={_LONG}:0:1"], "sweep on 'mu' produces no values"),
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:{_LONG}"],
+     "bad sweep on 'mu'; expected <param>=<start>:<stop>:<step>"),
+    (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"{'x' * 300}=0:1:1"],
+     "<300 characters> is not a parameter of mu:0 (has ('mu',))"),
 ], ids=["q-eps-order", "q-eps-order-101", "decimal", "decimal-past-limit", "K", "K-past-limit",
-        "series-K-past-limit", "n-past-limit", "order-mu-past-limit"])
+        "series-K-past-limit", "n-past-limit", "order-mu-past-limit", "sweep-count-step",
+        "sweep-count-stop", "sweep-empty", "sweep-bad", "sweep-param"])
 def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
     # an oversized integer is named by its digit count, never echoed whole
     code, out, err = outcome(capsys, main, argv)
@@ -264,6 +275,17 @@ def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
     assert max(map(len, err.splitlines())) <= 200
     if not message.startswith("argument"):  # argparse prints its usage lines first
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mu=0:1", "bad sweep 'mu=0:1'; expected <param>=<start>:<stop>:<step>"),
+    ("mu=2:0:1", "sweep 'mu=2:0:1' produces no values"),
+    ("mu=0:2000:1", "the value count of sweep 'mu=0:2000:1' is 2001, above the cap of 1000"),
+    ("t=0:1:1", "'t' is not a parameter of mu:0 (has ('mu',))"),
+])
+def test_a_short_sweep_is_quoted_whole(capsys, text, message):
+    code, out, err = run_cli(capsys, "sweep", "--sf", "mu:0", "--K", "3", "--sweep", text)
+    assert (code, out, err) == (2, "", f"qvirial: error: {message}\n")
 
 
 def test_an_ordinary_bad_integer_keeps_argparse_s_message(capsys):
@@ -352,23 +374,45 @@ def argv_id(argv):
     return " ".join(argv) or "no-args"
 
 
+def parsed(capsys, parse, argv):
+    """outcome() of ``parse(argv)``, with the parsed arguments in place of the
+    exit code when it returns."""
+    args = []
+    code, out, err = outcome(capsys, lambda argv: args.append(vars(parse(argv))), argv)
+    return (args or [code])[0], out, err
+
+
 @pytest.mark.parametrize("argv", [
     [], ["-h"], ["--version"], ["--version", "virial"], ["frob"], ["vir"],
     *[[command, "-h"] for command in cli.COMMANDS],
     # leftover arguments, whose usage line lists all six commands
     ["virial", "--sf", "mu:1/2", "--K", "3", "extra"],
     ["check-paper", "--format", "json", "extra"],
+    ["check-paper", "extra"],
     ["virial", "--K", "3"],  # missing --sf
+    ["series", "--K", "3"],
     ["virial", "--sf", "mu:1/2", "--format", "xml"],
+    ["sweep", "--sf", "mu:0", "--sweep", "mu=0:1:1", "--format", "xml"],
     ["eps-expand", "--order", "x"],
+    ["virial", "--sf", "mu:1/2", "--K", "x3"],
     ["virial", "--version"],
+    ["virial", "--sf", "mu:1/2", "--K", "3", "--version"],
+    ["sweep", "--s", "mu:0"],  # ambiguous: --sf or --sweep
+    # arguments that parse: abbreviations, --flag=value, --, repeats, defaults
+    ["virial", "--sf", "mu:1/2", "--form", "json"],
+    ["hamiltonian", "--order-m", "2", "--form", "pretty"],
+    ["virial", "--sf=mu:1/2", "--K=3"],
+    ["eps-expand", "--order", "2", "--"],
+    ["series", "--sf", "mu:1/2", "--", "--K", "3"],
+    ["sweep", "--sf", "mu:0", "--sweep", "mu=0:1:1", "--sweep", "q=1:2:1"],
+    ["check-paper"],
 ], ids=argv_id)
 def test_argparse_outcomes_match_the_full_parser(capsys, monkeypatch, argv):
-    # main builds one subcommand's parser; help, version and every argparse
-    # error must still read exactly as the full parser's
+    # a job reads its argv with one flat parser of its subcommand's flags; help,
+    # version, every argparse error and the parsed arguments must read exactly
+    # as the full parser's
     monkeypatch.setenv("COLUMNS", "80")
-    expected = outcome(capsys, cli.build_parser().parse_args, argv)
-    assert outcome(capsys, main, argv) == expected
+    assert parsed(capsys, cli._parse_args, argv) == parsed(capsys, cli.build_parser().parse_args, argv)
 
 
 def test_a_job_builds_only_its_own_parser(capsys, monkeypatch):
@@ -381,7 +425,7 @@ def test_a_job_builds_only_its_own_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run_cli(capsys, "eps-expand", "--order", "2")[0] == 0
-    assert built == ["qvirial", "qvirial eps-expand"]
+    assert built == ["qvirial eps-expand"]
     monkeypatch.undo()
     subparsers = [action for action in cli.build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
@@ -754,7 +798,7 @@ def test_the_closed_form_check_reverts_at_full_order(monkeypatch):
 
     orders = []
     monkeypatch.setattr(cli, "virial_coefficients", no_engine)
-    monkeypatch.setattr(thermo, "revert", lambda f, revert=thermo.revert: orders.append(f.order) or revert(f))
+    monkeypatch.setattr(cli, "revert", lambda f, revert=cli.revert: orders.append(f.order) or revert(f))
     assert cli._check_closed_forms()
     assert orders == [5] * 5
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvirial import (
     DecimalBackend,
@@ -564,19 +564,60 @@ _model_params = st.one_of(
 )
 
 
-@given(st.one_of(
-           _model_params.filter(lambda q: q != 1).map(QBasic),
-           _model_params.map(Quadratic),
-           st.builds(QuadraticOfQBasic, _model_params, _model_params),
-           st.builds(Interpolated, st.just(Fraction(1)), _model_params,
-                     _model_params.filter(lambda q: q > 0 and q != 1))),
-       st.integers(2, 16))
+# every kind with an exact phi (t only at t = 1)
+_exact_models = st.one_of(
+    _model_params.filter(lambda q: q != 1).map(QBasic),
+    _model_params.map(Quadratic),
+    st.builds(QuadraticOfQBasic, _model_params, _model_params),
+    st.builds(Interpolated, st.just(Fraction(1)), _model_params,
+              _model_params.filter(lambda q: q > 0 and q != 1)),
+)
+
+
+@given(_exact_models, st.integers(2, 16))
 @settings(max_examples=60, deadline=None)
 def test_small_exact_tables_equal_the_full_composition(sf, order):
     x = particle_series(sf, order)
     full = full_reversion_table(x)
     assert virial_coefficients(x).values == full
     assert thermo._series_virials(x) == full  # the engine, which these tables no longer take
+
+
+@given(_exact_models, st.integers(1, 16))
+@example(Quadratic(Fraction(1)), 16)
+@example(QBasic(Fraction(-1)), 16)
+@example(Quadratic(Fraction(1, 3)), 9)
+@settings(max_examples=80, deadline=None)
+def test_small_exact_fugacity_series_equal_the_reversion(sf, order):
+    x = particle_series(sf, order)
+    assert fugacity_of_density(x) == series.revert(x)
+
+
+@given(
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=5)),
+    st.integers(1, 16).flatmap(lambda k: st.lists(surd_coeff_st, min_size=k - 1, max_size=k - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_fugacity_walk_equals_the_reversion_for_any_rational_c1(c1, tail):
+    x = PowerSeries(SURD, [SURD.zero, c1] + tail)
+    assert thermo._takes_partition_sum(x)
+    assert fugacity_of_density(x) == series.revert(x)
+
+
+def test_fugacity_off_the_partition_sum_takes_revert(monkeypatch):
+    reverted = []
+    monkeypatch.setattr(thermo, "revert", lambda f, revert=thermo.revert: reverted.append(f.order) or revert(f))
+    sf = parse_descriptor("mu-q:1/5,3/2")
+    fugacity_of_density(particle_series(sf, 16))
+    assert reverted == []
+    for x in (
+        particle_series(sf, 17),
+        PowerSeries(SURD, [0, 1, SurdRational({1: Fraction(1, 3), 2: Fraction(-1, 5)}), SurdRational({3: 2})]),
+        particle_series(sf, 6, DEC50),
+        particle_series(parse_descriptor("q-eps:order=2"), 5, TruncPolyBackend(2)),
+    ):
+        fugacity_of_density(x)
+    assert reverted == [17, 3, 6, 5]
 
 
 def series_calls(monkeypatch):
@@ -645,7 +686,7 @@ def test_gibbs_duhem_reads_the_table_off_ln_of_z_over_x(descriptor, backend):
     # V_k = (k-1)/k [x**(k-1)] ln(z(x)/x); the log of the unit series u = z/x
     # by m*l_m = m*u_m - sum_{i=1..m-1} i*l_i*u_(m-i)
     x = particle_series(parse_descriptor(descriptor), 10, backend)
-    u = fugacity_of_density(x).coeffs[1:]
+    u = series.revert(x).coeffs[1:]  # not the walk the table takes
     log = [backend.zero]
     for m in range(1, len(u)):
         log.append(u[m] - sum((i * log[i] * u[m - i] for i in range(1, m)), backend.zero) / m)
@@ -699,7 +740,7 @@ def test_kth_finite_difference_in_mu_vanishes_at_k14(model, backend):
 @pytest.mark.parametrize("descriptor", ["mu-q:1/3,7/5", "q:-2/7", "mu:2/5"])
 def test_gibbs_duhem_reads_the_table_off_ln_of_z_over_x_at_k14(descriptor, backend):
     x = particle_series(parse_descriptor(descriptor), 14, backend)
-    u = fugacity_of_density(x).coeffs[1:]
+    u = series.revert(x).coeffs[1:]  # not the walk the table takes
     table = virial_coefficients(x)
     with backend.arith():
         log = [backend.zero]
