@@ -3,7 +3,10 @@ sweeps, and the published-anchor consistency report.
 
 Exit codes: 0 success, 2 argument/descriptor/validation error, 3 value not
 representable on the requested backend.  Any other exception is a bug and
-propagates.  Output is byte-identical across repeated runs.
+propagates.  Output is byte-identical across repeated runs.  `_admit` reads and
+bounds a job's inputs before any work: the descriptor, the backend, the q-eps
+order, the sweeps, then the integer flags in table order, with their floors and
+caps; an argv with two faults reports the first.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .structfn import (
     Quadratic,
     QuadraticOfQBasic,
     UNDEFORMED,
+    _QUOTED_CHARS,
     _over_digit_limit,
     _parse_rational,
+    _quoted,
     eval_eps,
     eval_structure,
     monomial_expansion,
@@ -61,9 +66,6 @@ MAX_LEVEL_DIGITS = 20_000  # eps-expand: --order times the digits of --n, about 
 MAX_DECIMAL_DIGITS = 1000  # decimal:<digits>
 MAX_SWEEP_POINTS = 1000  # values of one --sweep, and points of the whole grid
 
-# An error line quotes a number of more digits by its digit count.
-_QUOTED_DIGITS = 40
-
 
 class UsageError(ValueError):
     """Invalid command-line input beyond what argparse checks."""
@@ -72,7 +74,7 @@ class UsageError(ValueError):
 def _check_cap(value: int, cap: int, what: str) -> None:
     if value > cap:
         text = _text(value)
-        shown = text if len(text) <= _QUOTED_DIGITS else f"a number of {len(text)} digits"
+        shown = text if len(text) <= _QUOTED_CHARS else f"a number of {len(text)} digits"
         raise UsageError(f"{what} is {shown}, above the cap of {cap}")
 
 
@@ -86,7 +88,7 @@ def _int_flag(text: str) -> int:
         digits = text.strip().lstrip("+-")
         if digits.isdecimal():
             raise argparse.ArgumentTypeError(_over_digit_limit(len(digits))) from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
 
 # --------------------------------------------------------------------------
@@ -147,52 +149,22 @@ def _parse_backend_flag(text: str) -> Backend:
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"bad decimal digit budget: {exc}") from exc
         except ValueError as exc:
-            raise UsageError(f"bad decimal digit budget {digits!r}") from exc
+            raise UsageError(f"bad decimal digit budget {_quoted(digits)}") from exc
         _check_cap(backend.digits, MAX_DECIMAL_DIGITS, "decimal digit budget")
         return backend
-    raise UsageError(f"unknown backend {text!r} (use exact or decimal:<digits>)")
+    raise UsageError(f"unknown backend {_quoted(text)} (use exact or decimal:<digits>)")
 
 
-def _resolve_backend(sf, requested: Backend) -> Backend:
-    # q-eps descriptors ride on a TruncPoly backend in eps; everything else
-    # uses the backend as requested.
-    if isinstance(sf, QBasicSeries):
-        if isinstance(requested, DecimalBackend):
-            raise UnsupportedBackendError(
-                "q-eps series are symbolic in eps; use the exact backend"
-            )
-        return TruncPolyBackend(sf.order)
-    return requested
-
-
-def _checked_sf(sf, args, **params):
-    """`sf` with `params` replacing its parameters, once --K is checked.
-
-    A value the structure function rejects (a sweep reaching q = 1) and a --K
-    below 2 came from the user, so they are usage errors.
-    """
-    _check_cap(args.order, MAX_ORDER, "--K")
-    if isinstance(sf, QBasicSeries):  # V_k has eps-degree k - 1 < K, so a higher order changes no cell
-        _check_cap(sf.order, MAX_ORDER, "the q-eps order")
-    try:
-        sf = sf.replace(**params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if args.order < 2:
-        raise UsageError("truncation order must be >= 2 (at least one nontrivial virial coefficient)")
-    return sf
-
-
-def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
+def _model_meta(args, table=None) -> dict[str, str]:
     meta = {
         "command": args.command,
-        "sf": sf.describe(),
+        "sf": args.sf.describe(),
         "K": str(args.order),
-        "backend": backend.describe(),
+        "backend": args.backend.describe(),
     }
     if table is not None:
         meta["provenance"] = "engine"
-        mu = getattr(sf, "mu", None)
+        mu = getattr(args.sf, "mu", None)
         if mu is not None:
             # mu = 1/m: two-constituent composite bosons; any other mu is reported, not refused
             unit_fraction = mu > 0 and mu.numerator == 1
@@ -212,19 +184,16 @@ def _model_meta(args, sf, backend: Backend, table=None) -> dict[str, str]:
 
 
 def cmd_virial(args) -> tuple[str, int]:
-    sf = parse_descriptor(args.sf)
-    backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    table = virial_coefficients(particle_series(_checked_sf(sf, args), args.order, backend))
+    backend = args.backend
+    table = virial_coefficients(particle_series(args.sf, args.order, backend))
     columns = ["k"] + _value_columns("V_k", backend)
     rows = [[str(k)] + _value_cells(value, backend) for k, value in table]
-    meta = _model_meta(args, sf, backend, table)
-    return _format_table(args.format, meta, columns, rows), 0
+    return _format_table(args.format, _model_meta(args, table), columns, rows), 0
 
 
 def cmd_series(args) -> tuple[str, int]:
-    sf = parse_descriptor(args.sf)
-    backend = _resolve_backend(sf, _parse_backend_flag(args.backend))
-    x = particle_series(_checked_sf(sf, args), args.order, backend)
+    backend = args.backend
+    x = particle_series(args.sf, args.order, backend)
     dumps: list[tuple[str, str, PowerSeries]] = [  # (name, variable, series)
         ("particle", "z", x),
         ("pressure", "z", pressure_series(x)),
@@ -236,19 +205,12 @@ def cmd_series(args) -> tuple[str, int]:
         for name, var, series in dumps
         for n, value in enumerate(series.coeffs)
     ]
-    meta = _model_meta(args, sf, backend)
-    return _format_table(args.format, meta, columns, rows), 0
+    return _format_table(args.format, _model_meta(args), columns, rows), 0
 
 
 def cmd_eps_expand(args) -> tuple[str, int]:
-    if args.expansion_order < 1:
-        raise UsageError("--order must be >= 1")
-    _check_cap(args.expansion_order, MAX_ORDER, "--order")
     meta = {"command": "eps-expand", "order": str(args.expansion_order)}
     if args.n is not None:
-        if args.n < 0:
-            raise UsageError("--n must be nonnegative")
-        _check_cap(args.expansion_order * len(str(args.n)), MAX_LEVEL_DIGITS, "--order times the digits of --n")
         meta["n"] = str(args.n)
         poly = eval_eps(args.n, args.expansion_order)
         columns = ["eps_power", "coefficient"]
@@ -267,18 +229,12 @@ def cmd_eps_expand(args) -> tuple[str, int]:
 
 
 def cmd_hamiltonian(args) -> tuple[str, int]:
-    if args.expansion_order < 0:
-        raise UsageError("--order must be >= 0")
-    _check_cap(args.expansion_order, MAX_ORDER, "--order")
     meta = {"command": "hamiltonian", "order": str(args.expansion_order)}
     if args.order_mu is None:
         split = hamiltonian_split(args.expansion_order)
         columns = ["eps_power", "term"]
         rows = [[str(i), term.render()] for i, term in enumerate(split)]
     else:
-        if args.order_mu < 0:
-            raise UsageError("--order-mu must be >= 0")
-        _check_cap(args.order_mu, MAX_ORDER, "--order-mu")
         meta["order_mu"] = str(args.order_mu)
         split = two_param_split(args.expansion_order, args.order_mu)
         columns = ["eps_power", "mu_power", "term"]
@@ -289,17 +245,12 @@ def cmd_hamiltonian(args) -> tuple[str, int]:
     return _format_table(args.format, meta, columns, rows), 0
 
 
-def _quoted(text: str) -> str:
-    """repr(text) for an error line, or its length past _QUOTED_DIGITS characters."""
-    return repr(text) if len(text) <= _QUOTED_DIGITS else f"<{len(text)} characters>"
-
-
 def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
     head, sep, spec = text.partition("=")
     parts = spec.split(":")
     param = head.strip()
     # an error line names a long sweep by its parameter
-    label = repr(text) if len(text) <= _QUOTED_DIGITS else f"on {_quoted(param)}"
+    label = repr(text) if len(text) <= _QUOTED_CHARS else f"on {_quoted(param)}"
     if not sep or len(parts) != 3:
         raise UsageError(f"bad sweep {label}; expected <param>=<start>:<stop>:<step>")
     start, stop, step = (_parse_rational(p) for p in parts)
@@ -313,26 +264,14 @@ def _parse_sweep_flag(text: str) -> tuple[str, list[Fraction]]:
 
 
 def cmd_sweep(args) -> tuple[str, int]:
-    if not args.sweep:
-        raise UsageError("sweep needs at least one --sweep <param>=<a>:<b>:<step>")
-    sf = parse_descriptor(args.sf)
-    allowed = () if isinstance(sf, QBasicSeries) else sf.__slots__
-    if not allowed:
-        raise UsageError(f"{sf.describe()} has no sweepable parameters")
-    sweeps = [_parse_sweep_flag(text) for text in args.sweep]
-    param_names = [param for param, _ in sweeps]
-    for param in param_names:
-        if param not in allowed:
-            raise UsageError(f"{_quoted(param)} is not a parameter of {sf.describe()} (has {allowed})")
-    if len(set(param_names)) != len(param_names):
-        raise UsageError("each parameter can be swept only once")
-    backend = _parse_backend_flag(args.backend)
-    _check_cap(math.prod(len(values) for _, values in sweeps), MAX_SWEEP_POINTS, "sweep grid size")
-
+    backend, param_names = args.backend, [param for param, _ in args.sweep]
     grid: list[tuple[Fraction, ...]] = [()]
-    for _, values in sweeps:
+    for _, values in args.sweep:
         grid = [point + (v,) for point in grid for v in values]
-    point_sfs = [_checked_sf(sf, args, **dict(zip(param_names, point))) for point in grid]
+    try:  # a point the structure function rejects, such as q = 1, came from the user
+        point_sfs = [args.sf.replace(**dict(zip(param_names, point))) for point in grid]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     columns = param_names + ["k"] + _value_columns("V_k", backend)
     rows = [
@@ -340,8 +279,8 @@ def cmd_sweep(args) -> tuple[str, int]:
         for point, point_sf in zip(grid, point_sfs)
         for k, value in virial_coefficients(particle_series(point_sf, args.order, backend))
     ]
-    meta = {**_model_meta(args, sf, backend), "provenance": "engine"}
-    for param, values in sweeps:
+    meta = {**_model_meta(args), "provenance": "engine"}
+    for param, values in args.sweep:
         meta[f"sweep_{param}"] = ",".join(str(v) for v in values)
     return _format_table(args.format, meta, columns, rows), 0
 
@@ -546,22 +485,29 @@ def _output_flags(fmt: str = "csv") -> tuple:
 
 _MODEL_FLAGS = (
     ("--sf", {"required": True, "help": "structure-function descriptor, e.g. mu:1/4 or mu-q:1/4,3/2"}),
-    ("--K", {"dest": "order", "type": _int_flag, "default": 8, "help": "truncation order (default 8)"}),
+    ("--K", {"dest": "order", "type": _int_flag, "default": 8, "help": "truncation order (default 8)"},
+     (2, MAX_ORDER, "truncation order must be >= 2 (at least one nontrivial virial coefficient)")),
     ("--backend", {"default": "exact", "help": "exact | decimal:<digits> (default exact)"}),
 ) + _output_flags()
 
-# name: (help, handler, flags in the order help lists them)
+# name: (help, handler, flags in the order help lists them); an integer flag
+# also carries its (floor, cap, message below the floor) for _admit
 _JOBS = {
     "virial": ("virial coefficients V_1..V_K", cmd_virial, _MODEL_FLAGS),
     "series": ("particle, pressure, and fugacity series", cmd_series, _MODEL_FLAGS),
     "eps-expand": ("basic-number expansion tables in eps = q - 1", cmd_eps_expand, (
-        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 6, "help": "eps order"}),
-        ("--n", {"type": _int_flag, "default": None, "help": "fixed level n for the binomial-basis row"}),
+        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 6, "help": "eps order"},
+         (1, MAX_ORDER, "--order must be >= 1")),
+        ("--n", {"dest": "n", "type": _int_flag, "default": None,
+                 "help": "fixed level n for the binomial-basis row"},
+         (0, None, "--n must be nonnegative")),  # capped with --order, last
     ) + _output_flags()),
     "hamiltonian": ("ladder-average Hamiltonian split", cmd_hamiltonian, (
-        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 4, "help": "eps order"}),
+        ("--order", {"dest": "expansion_order", "type": _int_flag, "default": 4, "help": "eps order"},
+         (0, MAX_ORDER, "--order must be >= 0")),
         ("--order-mu", {"dest": "order_mu", "type": _int_flag, "default": None,
-                        "help": "also expand in mu up to this order (two-parameter split)"}),
+                        "help": "also expand in mu up to this order (two-parameter split)"},
+         (0, MAX_ORDER, "--order-mu must be >= 0")),
     ) + _output_flags()),
     "sweep": ("virial tables over a parameter grid", cmd_sweep, _MODEL_FLAGS + (
         ("--sweep", {"action": "append", "default": [],
@@ -575,7 +521,7 @@ COMMANDS = tuple(_JOBS)
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     _, handler, flags = _JOBS[command]
-    for flag, spec in flags:
+    for flag, spec, *_ in flags:
         parser.add_argument(flag, **spec)
     parser.set_defaults(command=command, handler=handler)
     return parser
@@ -605,10 +551,50 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _admit(args: argparse.Namespace) -> None:
+    """Read and bound a job's inputs in place on `args`, in the order the module
+    docstring gives; eps-expand's --order times the digits of --n comes last."""
+    if hasattr(args, "sf"):  # virial, series, sweep
+        args.sf = parse_descriptor(args.sf)
+        args.backend = _parse_backend_flag(args.backend)
+        if isinstance(args.sf, QBasicSeries):  # it rides on a TruncPoly backend in eps
+            if isinstance(args.backend, DecimalBackend):
+                raise UnsupportedBackendError("q-eps series are symbolic in eps; use the exact backend")
+            args.backend = TruncPolyBackend(args.sf.order)
+            # V_k has eps-degree k - 1 < K, so a higher order changes no cell
+            _check_cap(args.sf.order, MAX_ORDER, "the q-eps order")
+    if args.command == "sweep":
+        if not args.sweep:
+            raise UsageError("sweep needs at least one --sweep <param>=<a>:<b>:<step>")
+        allowed = () if isinstance(args.sf, QBasicSeries) else args.sf.__slots__
+        if not allowed:
+            raise UsageError(f"{args.sf.describe()} has no sweepable parameters")
+        args.sweep = [_parse_sweep_flag(text) for text in args.sweep]
+        params = [param for param, _ in args.sweep]
+        for param in params:
+            if param not in allowed:
+                raise UsageError(
+                    f"{_quoted(param)} is not a parameter of {_quoted(args.sf.describe(), str)} (has {allowed})")
+        if len(set(params)) != len(params):
+            raise UsageError("each parameter can be swept only once")
+        _check_cap(math.prod(len(values) for _, values in args.sweep), MAX_SWEEP_POINTS, "sweep grid size")
+    for flag, spec, *bounds in _JOBS[args.command][2]:
+        value = getattr(args, spec["dest"]) if bounds else None
+        if value is not None:
+            floor, cap, below = bounds[0]
+            if value < floor:
+                raise UsageError(below)
+            if cap is not None:
+                _check_cap(value, cap, flag)
+    if args.command == "eps-expand" and args.n is not None:
+        _check_cap(args.expansion_order * len(str(args.n)), MAX_LEVEL_DIGITS, "--order times the digits of --n")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one job."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        _admit(args)
         text, code = args.handler(args)
     except UnsupportedBackendError as exc:
         print(f"qvirial: backend error: {exc}", file=sys.stderr)

@@ -194,7 +194,7 @@ def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple
     if isinstance(sf, QBasicOfQuadratic) or isinstance(sf, Interpolated) and sf.t != 1:
         if not isinstance(backend, DecimalBackend):
             raise UnsupportedBackendError(
-                f"{sf.describe()} needs the decimal backend: rational powers of q leave the exact ring"
+                f"{_quoted(sf.describe(), str)} needs the decimal backend: rational powers of q leave the exact ring"
             )
         m, d = sf.mu.as_integer_ratio()  # the exponent (1+mu)*n - mu*n**2 over d
         wide = backend.widened(1 - sf.q)
@@ -270,11 +270,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise DescriptorError(f"not a rational number (use p or p/q, not decimals): {text!r}")
+        raise DescriptorError(f"not a rational number (use p or p/q, not decimals): {_quoted(text)}")
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise DescriptorError(f"zero denominator: {text!r}") from exc
+        raise DescriptorError(f"zero denominator: {_quoted(text)}") from exc
     except ValueError as exc:  # past the str -> int digit limit, which Python 3.10.7 on enforces
         raise DescriptorError(_over_digit_limit(max(map(len, re.findall(r"\d+", text))))) from exc
 
@@ -283,6 +283,15 @@ def _over_digit_limit(digits: int) -> str:
     """The one-line error for a number int() refuses for its length: its digit
     count, not the number itself."""
     return f"a number of {digits} digits is above the {sys.get_int_max_str_digits()}-digit limit on integer conversion"
+
+
+# An error line names user text, or a number, of more characters by its length.
+_QUOTED_CHARS = 40
+
+
+def _quoted(text: str, show=repr) -> str:
+    """show(text) for an error line, or its length past _QUOTED_CHARS characters."""
+    return show(text) if len(text) <= _QUOTED_CHARS else f"<{len(text)} characters>"
 
 
 _KINDS = {cls.kind: cls for cls in (QBasic, Quadratic, QuadraticOfQBasic, QBasicOfQuadratic, Interpolated)}
@@ -294,9 +303,9 @@ def _named_parts(text: str) -> list[str]:
     for part in text.split(";"):
         key, _, value = part.partition(":")
         if not value:
-            raise DescriptorError(f"malformed descriptor part {part!r}")
+            raise DescriptorError(f"malformed descriptor part {_quoted(part)}")
         if key.strip() in fields:
-            raise DescriptorError(f"t-descriptor repeats the {key.strip()}: part")
+            raise DescriptorError(f"t-descriptor repeats the {_quoted(key.strip(), str)}: part")
         fields[key.strip()] = value
     if set(fields) != set(Interpolated.__slots__):
         raise DescriptorError("t-descriptor needs exactly t:, mu:, q: parts")
@@ -309,19 +318,19 @@ def parse_descriptor(text: str) -> StructureFunction:
     text = text.strip()
     kind, sep, rest = text.partition(":")
     if not sep:
-        raise DescriptorError(f"malformed descriptor {text!r}")
+        raise DescriptorError(f"malformed descriptor {_quoted(text)}")
     try:
         if kind == "q-eps":
             key, _, value = rest.partition("=")
             if key.strip() != "order" or not re.fullmatch(r"[+-]?\d+", value.strip()):
-                raise DescriptorError(f"q-eps descriptor takes order=<int>, not {rest!r}")
+                raise DescriptorError(f"q-eps descriptor takes order=<int>, not {_quoted(rest)}")
             return QBasicSeries(_parse_rational(value).numerator)
         cls = _KINDS.get(kind)
         if cls is None:
-            raise DescriptorError(f"unknown structure-function kind {kind!r}")
+            raise DescriptorError(f"unknown structure-function kind {_quoted(kind)}")
         parts = _named_parts(text) if cls is Interpolated else rest.split(",")
         if len(parts) != len(cls.__slots__):
-            raise DescriptorError(f"{text!r} is not of the form {kind}:{','.join(cls.__slots__)}")
+            raise DescriptorError(f"{_quoted(text)} is not of the form {kind}:{','.join(cls.__slots__)}")
         return cls(*map(_parse_rational, parts))
     except DescriptorError:
         raise

@@ -139,6 +139,79 @@ def test_exit_codes():
     assert main(["virial", "--sf", "q-eps:order=3", "--backend", "decimal:20", "--K", "3"]) == 3
 
 
+# -- error bytes: every single-fault argv prints what it printed before jobs were
+# admitted in one step; an argv with two faults reports the first in admission order
+_E, _B = "qvirial: error: ", "qvirial: backend error: "
+_QBASIC_Q1 = _E + "QBasic stores q != 1; the undeformed limit is Quadratic(0) or QuadraticOfQBasic(mu, 1)"
+_K_FLOOR = _E + "truncation order must be >= 2 (at least one nontrivial virial coefficient)"
+_Q_EPS_DECIMAL = _B + "q-eps series are symbolic in eps; use the exact backend"
+
+
+_PINNED_ERRORS = [  # (argv, exit code, stderr without its newline)
+    ("virial --sf frob:1", 2, _E + "unknown structure-function kind 'frob'"),
+    ("virial --sf mu:0.5 --K 3", 2, _E + "not a rational number (use p or p/q, not decimals): '0.5'"),
+    ("virial --sf mu:1/0", 2, _E + "zero denominator: '1/0'"),
+    ("virial --sf mu", 2, _E + "malformed descriptor 'mu'"),
+    ("virial --sf t:1/2;t:1;mu:1/4;q:3/2", 2, _E + "t-descriptor repeats the t: part"),
+    ("virial --sf t:1/2;mu;q:3/2", 2, _E + "malformed descriptor part 'mu'"),
+    ("virial --sf t:1/2;mu:1/4", 2, _E + "t-descriptor needs exactly t:, mu:, q: parts"),
+    ("virial --sf q-eps:order=x", 2, _E + "q-eps descriptor takes order=<int>, not 'order=x'"),
+    ("virial --sf q-eps:order=-1", 2, _E + "order must be nonnegative"),
+    ("virial --sf mu:1,2", 2, _E + "'mu:1,2' is not of the form mu:mu"),
+    ("virial --sf q:1", 2, _QBASIC_Q1),
+    ("virial --sf mu:1/3 --K 1", 2, _K_FLOOR),
+    ("series --sf mu:1/3 --K 101", 2, _E + "--K is 101, above the cap of 100"),
+    ("virial --sf mu:1/3 --K x", 2, "usage: qvirial virial [-h] --sf SF [--K ORDER] [--backend BACKEND]\n"
+     "                      [--format {csv,json,pretty}] [--out OUT]\n"
+     "qvirial virial: error: argument --K: invalid int value: 'x'"),
+    ("virial --sf mu:1/3 --backend decimal:0", 2, _E + "bad decimal digit budget '0'"),
+    ("virial --sf mu:1/3 --backend decimal:x", 2, _E + "bad decimal digit budget: invalid int value: 'x'"),
+    ("series --sf mu:1/3 --backend float", 2, _E + "unknown backend 'float' (use exact or decimal:<digits>)"),
+    ("virial --sf mu:1/3 --backend decimal:1001", 2, _E + "decimal digit budget is 1001, above the cap of 1000"),
+    ("virial --sf q-eps:order=3 --backend decimal:20", 3, _Q_EPS_DECIMAL),
+    ("series --sf q-eps:order=101", 2, _E + "the q-eps order is 101, above the cap of 100"),
+    ("virial --sf q-mu:3/2,1/4", 3,
+     _B + "q-mu:3/2,1/4 needs the decimal backend: rational powers of q leave the exact ring"),
+    ("eps-expand --order 0", 2, _E + "--order must be >= 1"),
+    ("eps-expand --order 101", 2, _E + "--order is 101, above the cap of 100"),
+    ("eps-expand --n -1", 2, _E + "--n must be nonnegative"),
+    (f"eps-expand --order 100 --n 1{'0' * 200}", 2,
+     _E + "--order times the digits of --n is 20100, above the cap of 20000"),
+    ("hamiltonian --order -1", 2, _E + "--order must be >= 0"),
+    ("hamiltonian --order 101", 2, _E + "--order is 101, above the cap of 100"),
+    ("hamiltonian --order-mu -1", 2, _E + "--order-mu must be >= 0"),
+    ("hamiltonian --order-mu 101", 2, _E + "--order-mu is 101, above the cap of 100"),
+    ("sweep --sf mu:0 --K 3", 2, _E + "sweep needs at least one --sweep <param>=<a>:<b>:<step>"),
+    ("sweep --sf q-eps:order=3 --K 3 --sweep q=0:1:1", 2, _E + "q-eps:order=3 has no sweepable parameters"),
+    ("sweep --sf mu:0 --sweep mu=0:1:0", 2, _E + "sweep step must be nonzero"),
+    ("sweep --sf mu:0 --sweep mu=0:1:1 --sweep mu=0:1:1", 2, _E + "each parameter can be swept only once"),
+    ("sweep --sf mu-q:0,3/2 --K 2 --sweep mu=1/100:1:1/100 --sweep q=1/2:3/2:1/10", 2,
+     _E + "sweep grid size is 1100, above the cap of 1000"),
+    ("sweep --sf mu:0 --sweep q=0:1:1", 2, _E + "'q' is not a parameter of mu:0 (has ('mu',))"),
+    ("sweep --sf q:1/2 --K 2 --sweep q=1/2:3/2:1/2", 2, _QBASIC_Q1),
+    ("sweep --sf mu:0 --sweep mu=0:x:1", 2, _E + "not a rational number (use p or p/q, not decimals): 'x'"),
+    ("sweep --sf mu:0 --K 101 --sweep mu=0:1:1", 2, _E + "--K is 101, above the cap of 100"),
+    ("sweep --sf mu:0 --K 1 --sweep mu=0:1:1", 2, _K_FLOOR),
+    ("sweep --sf mu:0 --backend decimal:0 --sweep mu=0:1:1", 2, _E + "bad decimal digit budget '0'"),
+    ("check-paper --format csv", 2, _E + "check-paper reports support pretty or json"),
+    # two faults: the first in admission order (descriptor, backend, q-eps
+    # order, sweeps, integer flags) is reported
+    ("virial --sf q-eps:order=500 --K 500", 2, _E + "the q-eps order is 500, above the cap of 100"),
+    ("sweep --sf frob:1 --K 3", 2, _E + "unknown structure-function kind 'frob'"),
+    ("sweep --sf q:1/2 --K 1 --sweep q=1:2:1", 2, _K_FLOOR),
+    ("sweep --sf mu:0 --backend float --sweep x=0:1:1", 2,
+     _E + "unknown backend 'float' (use exact or decimal:<digits>)"),
+    ("sweep --sf q-eps:order=3 --backend decimal:20 --sweep q=0:1:1", 3, _Q_EPS_DECIMAL),
+    ("eps-expand --order 0 --n -1", 2, _E + "--order must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", _PINNED_ERRORS, ids=[argv[:60] for argv, _, _ in _PINNED_ERRORS])
+def test_error_bytes_are_pinned(capsys, monkeypatch, argv, code, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(capsys, main, argv.split()) == (code, "", err + "\n")
+
+
 # -- a grammar fuzz: every argv ends in an exit code, never a traceback ----------
 # Each slot draws a valid value three times as often as a malformed one, so that
 # many jobs run.  K, digit budgets and parameters stay small, so that every job
@@ -153,24 +226,28 @@ def _mostly(valid, malformed):
 _NEAR_ONE = [str(1 + sign * Fraction(1, 10**j)) for j in (1, 8, 16, 20, 28, 40) for sign in (1, -1)]
 # past Python's 4,300-digit limit on str -> int conversion (str(10**4399) would hit it too)
 _OVERSIZED = "1" + "0" * 4399
+_TOKEN = "k" * 3000  # long non-numeric text, which no error line may echo whole
 _RATIONALS = _mostly(["0", "1", "-1", "1/2", "-2/7", "5/3", "2"] + _NEAR_ONE,
-                     ["1/0", "3.5", str(10**30), _OVERSIZED, "x", ""])
-_BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), _OVERSIZED, "x"])
+                     ["1/0", "3.5", str(10**30), _OVERSIZED, "x", "", _TOKEN])
+_BOUNDS = _mostly(["0", "1", "-1", "1/2", "-2", "2"], ["1/0", "3.5", str(10**30), _OVERSIZED, "x", _TOKEN])
 _DESCRIPTORS = st.one_of(
-    st.tuples(st.sampled_from(["q", "mu", "mu-q", "q-mu", "frob"]),
+    st.tuples(st.sampled_from(["q", "mu", "mu-q", "q-mu", "frob", _TOKEN]),
               st.lists(_RATIONALS, min_size=1, max_size=2).map(",".join)).map(":".join),
-    st.tuples(_RATIONALS, st.lists(st.tuples(_mostly(["mu", "q"], ["t", "x"]), _RATIONALS), min_size=1, max_size=3))
+    st.tuples(_RATIONALS, st.lists(st.tuples(_mostly(["mu", "q"], ["t", "x", _TOKEN]), _RATIONALS),
+                                   min_size=1, max_size=3))
     .map(lambda first_rest: "t:" + first_rest[0] + "".join(f";{k}:{v}" for k, v in first_rest[1])),
-    _mostly(["order=0", "order=2", "order=5"], ["order=-1", "order=x", "order=", "ord=2", "order=1=2"])
+    _mostly(["order=0", "order=2", "order=5"], ["order=-1", "order=x", "order=", "ord=2", "order=1=2", _TOKEN])
     .map("q-eps:".__add__),
-    st.sampled_from(["mu", "", ":", "q:"]),
+    st.sampled_from(["mu", "", ":", "q:", _TOKEN]),
 )
-_ORDERS = _mostly(["2", "3", "4", "6"], ["-1", "0", "1", "101", "x", "3.5"])
+_ORDERS = _mostly(["2", "3", "4", "6"], ["-1", "0", "1", "101", "x", "3.5", _TOKEN])
 _BACKENDS = _mostly(["exact", "decimal:1", "decimal:12", "decimal:30"],
-                    ["decimal:0", "decimal:-5", "decimal:x", "decimal:1001", "decimal", "float", ""])
+                    ["decimal:0", "decimal:-5", "decimal:x", "decimal:1001", "decimal", "float", "",
+                     _TOKEN, "decimal:" + _TOKEN])
 _SWEEPS = st.one_of(
-    st.tuples(_mostly(["mu", "q", "t"], ["x", ""]), _BOUNDS, _BOUNDS, _BOUNDS).map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}"),
-    st.sampled_from(["mu=0:1", "mu", "=0:1:1", "q=0:1:1:1"]),
+    st.tuples(_mostly(["mu", "q", "t"], ["x", "", _TOKEN]), _BOUNDS, _BOUNDS, _BOUNDS)
+    .map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}"),
+    st.sampled_from(["mu=0:1", "mu", "=0:1:1", "q=0:1:1:1", _TOKEN]),
 )
 
 
@@ -207,14 +284,19 @@ def _argv(draw):
 @example(["sweep", "--sf", "t:1/2;mu:1/7;q:2", "--K", "3", "--backend", "decimal:1",
           "--sweep", f"q={1 - Fraction(1, 10**20)}:2:1"])
 @example(["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:{_OVERSIZED}:1/2"])
+@example(["virial", "--sf", f"q:{_TOKEN}", "--K", "3"])
+@example(["sweep", "--sf", "mu:0", "--K", "3", "--backend", "decimal:1", "--sweep", f"{_TOKEN}=0:1:1"])
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_argv_ends_in_an_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3)
+    # no line echoes long user text whole; argparse's own `invalid choice` is out of scope
+    assert all(len(line) <= 200 for line in stderr.getvalue().splitlines() if "invalid choice" not in line)
 
 
 _DIGIT_LIMIT = f"5001 digits is above the {sys.get_int_max_str_digits()}-digit limit"
@@ -264,9 +346,21 @@ _PAST_LIMIT = f"a number of {_DIGIT_LIMIT} on integer conversion"
      "bad sweep on 'mu'; expected <param>=<start>:<stop>:<step>"),
     (["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"{'x' * 300}=0:1:1"],
      "<300 characters> is not a parameter of mu:0 (has ('mu',))"),
+    # any other user text past 40 characters is named by its length
+    (["virial", "--sf", f"q:1{'1' * 2999}x"],
+     "not a rational number (use p or p/q, not decimals): <3001 characters>"),
+    (["virial", "--sf", f"mu:1/2,{'1' * 3000}"], "<3007 characters> is not of the form mu:mu"),
+    (["virial", "--sf", "mu:1/3", "--backend", f"decimal:{'0' * 3000}"], "bad decimal digit budget <3000 characters>"),
+    (["sweep", "--sf", f"mu:1{'0' * 3000}", "--K", "3", "--sweep", "q=0:1:1"],
+     "'q' is not a parameter of <3004 characters> (has ('mu',))"),
+    (["virial", "--sf", f"t:1;{'k' * 300}:1;{'k' * 300}:2"], "t-descriptor repeats the <300 characters>: part"),
+    (["virial", "--sf", "mu:1/3", "--K", "k" * 300], "argument --K: invalid int value: <300 characters>"),
+    (["virial", "--sf", f"{'k' * 300}:1"], "unknown structure-function kind <300 characters>"),
+    (["virial", "--sf", "mu:1/3", "--backend", "k" * 300], "unknown backend <300 characters> (use exact or decimal:<digits>)"),
 ], ids=["q-eps-order", "q-eps-order-101", "decimal", "decimal-past-limit", "K", "K-past-limit",
         "series-K-past-limit", "n-past-limit", "order-mu-past-limit", "sweep-count-step",
-        "sweep-count-stop", "sweep-empty", "sweep-bad", "sweep-param"])
+        "sweep-count-stop", "sweep-empty", "sweep-bad", "sweep-param", "rational", "form", "decimal-zeros",
+        "sweep-sf", "t-repeats", "K-text", "kind", "backend"])
 def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
     # an oversized integer is named by its digit count, never echoed whole
     code, out, err = outcome(capsys, main, argv)
@@ -275,6 +369,12 @@ def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
     assert max(map(len, err.splitlines())) <= 200
     if not message.startswith("argument"):  # argparse prints its usage lines first
         assert err.count("\n") == 1
+
+
+def test_a_long_descriptor_is_named_by_its_length_on_a_backend_error(capsys):
+    code, out, err = run_cli(capsys, "virial", "--sf", f"q-mu:3/2,1/1{'0' * 300}")
+    assert (code, out, err) == (3, "", "qvirial: backend error: <312 characters> needs the decimal backend: "
+                                       "rational powers of q leave the exact ring\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -286,6 +386,39 @@ def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
 def test_a_short_sweep_is_quoted_whole(capsys, text, message):
     code, out, err = run_cli(capsys, "sweep", "--sf", "mu:0", "--K", "3", "--sweep", text)
     assert (code, out, err) == (2, "", f"qvirial: error: {message}\n")
+
+
+def test_every_integer_flag_carries_a_floor_and_a_cap(capsys):
+    # each integer flag is bounded by its row of the job table; eps-expand's --n
+    # is capped with --order, by --order times its digits
+    needs = {"virial": ["--sf", "mu:0"], "series": ["--sf", "mu:0"],
+             "sweep": ["--sf", "mu:0", "--sweep", "mu=0:1:1"]}
+    checked = []
+    for command, (_, _, flags) in cli._JOBS.items():
+        for flag, spec, *bounds in flags:
+            assert bool(bounds) == (spec.get("type") is cli._int_flag), (command, flag)
+            for floor, cap, below in bounds:
+                argv = [command, *needs.get(command, []), flag]
+                assert outcome(capsys, main, argv + [str(floor - 1)]) == (2, "", f"qvirial: error: {below}\n")
+                if (command, flag) == ("eps-expand", "--n"):
+                    assert cap is None
+                    continue
+                assert cap == cli.MAX_ORDER
+                assert outcome(capsys, main, argv + [str(cap + 1), "--out", os.devnull]) == \
+                    (2, "", f"qvirial: error: {flag} is {cap + 1}, above the cap of {cap}\n")
+                checked.append((command, flag))
+    assert len(checked) == 6  # --K of three model jobs, two --order flags and --order-mu
+
+
+def test_a_sweep_admits_its_inputs_once_per_job(capsys, monkeypatch):
+    parsed, capped = [], []
+    parse, check = cli.parse_descriptor, cli._check_cap
+    monkeypatch.setattr(cli, "parse_descriptor", lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(cli, "_check_cap", lambda value, cap, what: capped.append(what) or check(value, cap, what))
+    code, out, err = run_cli(capsys, "sweep", "--sf", "mu:0", "--K", "2", "--sweep", "mu=1/200:1:1/200")
+    assert (code, err) == (0, "") and out.count("\n1/200,2,") == 1 and out.count("\n1,2,") == 1
+    assert parsed == ["mu:0"]
+    assert capped.count("--K") == 1
 
 
 def test_an_ordinary_bad_integer_keeps_argparse_s_message(capsys):
