@@ -519,6 +519,13 @@ _JOBS = {
 COMMANDS = tuple(_JOBS)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; an invalid choice past _QUOTED_CHARS is named by its length."""
+
+    def _check_value(self, action, value):
+        super()._check_value(action, _quoted(value, str) if action.choices else value)
+
+
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     _, handler, flags = _JOBS[command]
     for flag, spec, *_ in flags:
@@ -529,7 +536,7 @@ def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand, and the top-level --version."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvirial",
         description="Exact virial expansions for deformed Bose gas models.",
     )
@@ -544,7 +551,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """One job's arguments, read by a flat parser of argv[0]'s flags; any other
     argv, or one with leftover arguments, takes the full parser and its messages."""
     if argv and argv[0] in _JOBS:
-        job = _add_flags(argparse.ArgumentParser(prog=f"qvirial {argv[0]}"), argv[0])
+        job = _add_flags(_Parser(prog=f"qvirial {argv[0]}"), argv[0])
         args, extra = job.parse_known_args(argv[1:])
         if not extra:
             return args

@@ -16,7 +16,7 @@ x.order and the ring off x.backend.
 
 The table and z(x) come from Lagrange inversion: with x = z*a(z),
 V_k = [z**(k-1)] a(z)**(1-k) / k and [x**k] z = [z**(k-1)] a(z)**(-k) / k.
-Surd series up to K = 16 sum both over the partitions of k - 1 in integer
+Surd series up to K = 19 sum both over the partitions of k - 1 in integer
 arithmetic, with no series products at all; the two sums differ only in one
 binomial weight and the power of c_1.  Longer, decimal and eps-polynomial
 series revert x(z) by `series.revert` for z(x), and their tables take the
@@ -64,7 +64,10 @@ __all__ = [
 ]
 
 CLOSED_FORM_MAX_ORDER = 5
-_PARTITION_MAX_ORDER = 16  # longer exact tables take the series engine
+# The walk beats the engine up to about K = 40, and a common-denominator power
+# table would overtake it from K = 20-28.  K = 20 stays on the engine: perfbench's
+# exact K = 20 jobs time its series layers until named stages (ROADMAP item 17) do.
+_PARTITION_MAX_ORDER = 19
 
 
 def log_partition_series(order: int, backend: Backend = SURD) -> PowerSeries:
@@ -135,7 +138,7 @@ def _first_nonpositive_phi(x: PowerSeries) -> int | None:
 def virial_coefficients(x: PowerSeries) -> VirialTable:
     """Virial table V_1..V_K of the density series x(z), K = x.order.
 
-    A surd x(z) of order K <= 16 whose c_1 is a nonzero rational and whose
+    A surd x(z) of order K <= 19 whose c_1 is a nonzero rational and whose
     coefficients have one radicand each (every exact `particle_series`) takes
     the partition sum of Lagrange inversion, `_partition_sum(x, 0)`; any other
     takes the series engine, `_series_virials`.  Both give the same canonical

@@ -48,23 +48,24 @@ def traced(argv, tmp_path) -> dict:
     return json.loads(done.stdout)
 
 
-# Exact tables up to K=16 come from the partition sum of Lagrange inversion,
+# Exact tables up to K=19 come from the partition sum of Lagrange inversion,
 # which calls no series function; the benchmark's exact workloads still run
-# them through K=17-20 tables.
+# them through their K=20 tables.
 PARTITION_SUM_SKIPS = ["series.compose_s", "series.euler_inverse_s", "series.mul_s", "series.revert_s"]
 
 
 @pytest.mark.parametrize("argv, missing", [
     (["virial", "--sf", "mu:1/5", "--K", "6"], PARTITION_SUM_SKIPS),
-    # K=17 is past the partition sum: the series engine runs
-    (["virial", "--sf", "mu:1/5", "--K", "17"], []),
+    (["virial", "--sf", "mu:1/5", "--K", "19"], PARTITION_SUM_SKIPS),
+    # K=20 is past the partition sum: the series engine runs
+    (["virial", "--sf", "mu:1/5", "--K", "20"], []),
     (["virial", "--sf", "q-mu:3/2,1/7", "--K", "10", "--backend", "decimal:20"], []),
     (["virial", "--sf", "q-eps:order=3", "--K", "5"], []),
     # K=20 reverts x(z) to order 10 only, by the direct solve
     (["virial", "--sf", "q-mu:3/2,1/7", "--K", "20", "--backend", "decimal:20"], []),
     # from K=33 the half-order reversion (past order 16) runs Newton steps
     (["virial", "--sf", "q-mu:3/2,1/7", "--K", "40", "--backend", "decimal:20"], []),
-], ids=["exact", "exact-k17", "decimal", "truncpoly", "decimal-k20", "decimal-newton"])
+], ids=["exact", "exact-k19", "exact-k20", "decimal", "truncpoly", "decimal-k20", "decimal-newton"])
 def test_declared_layer_metrics_present(argv, missing, tmp_path):
     result = traced(argv, tmp_path)
     assert result["code"] == 0
