@@ -134,7 +134,7 @@ def _format_table(fmt: str, meta: dict[str, str], columns: list[str], rows: list
         for row in rows:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
         return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")  # argparse's choices admit no other: a bug
 
 
 def _parse_backend_flag(text: str) -> Backend:
@@ -520,10 +520,21 @@ COMMANDS = tuple(_JOBS)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser; an invalid choice past _QUOTED_CHARS is named by its length."""
+    """argparse's parser; its error line names an argument, or the value of a
+    --flag=value argument, past _QUOTED_CHARS by its length."""
 
-    def _check_value(self, action, value):
-        super()._check_value(action, _quoted(value, str) if action.choices else value)
+    _argv = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        texts = {text for arg in self._argv for text in (arg, arg.partition("=")[2])
+                 if len(text) > _QUOTED_CHARS}
+        for text in sorted(texts, key=len, reverse=True):  # an argument before the value inside it
+            message = message.replace(repr(text), repr(_quoted(text))).replace(text, _quoted(text))
+        super().error(message)
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
@@ -617,7 +628,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"qvirial: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"qvirial: error: cannot write {_quoted(args.out, str)}: {exc.strerror or exc}",
+                  file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

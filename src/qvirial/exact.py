@@ -356,14 +356,6 @@ class TruncPoly:
         coeffs = self._coeffs or {0: SurdRational()}  # zero still rejects a bad divisor
         return TruncPoly(self._order, {e: c / other for e, c in coeffs.items()})
 
-    def __pow__(self, exponent: int) -> "TruncPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("TruncPoly powers must be nonnegative integers")
-        out = TruncPoly(self._order, {0: 1})
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

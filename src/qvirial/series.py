@@ -41,7 +41,7 @@ decimal:50 makes dots of 34,155 terms in all (61,645 with a full reversion;
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
 
@@ -80,12 +80,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Scalar:
-        return self.coeffs[n]
-
-    def __iter__(self) -> Iterable[Scalar]:
-        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSeries):

@@ -18,10 +18,9 @@ The table and z(x) come from Lagrange inversion: with x = z*a(z),
 V_k = [z**(k-1)] a(z)**(1-k) / k and [x**k] z = [z**(k-1)] a(z)**(-k) / k.
 Surd series up to K = 19 sum both over the partitions of k - 1 in integer
 arithmetic, with no series products at all; the two sums differ only in one
-binomial weight and the power of c_1.  Longer, decimal and eps-polynomial
-series revert x(z) by `series.revert` for z(x), and their tables take the
-series engine, which reverts x(z) only to order n = ceil(K/2), as h, and
-composes once:
+binomial weight.  Longer, decimal and eps-polynomial series revert x(z) by
+`series.revert` for z(x), and their tables take the series engine, which
+reverts x(z) only to order n = ceil(K/2), as h, and composes once:
 V_k = L_(k-1) - (k-1)*Q_k, Q = pressure(h), L = x*h'/h.  Exact to order K
 since z(x) - h lies in x**(n+1): Taylor and one Newton step give
 pressure(z(x)) = Q - x*Q' + x*L.
@@ -138,11 +137,10 @@ def _first_nonpositive_phi(x: PowerSeries) -> int | None:
 def virial_coefficients(x: PowerSeries) -> VirialTable:
     """Virial table V_1..V_K of the density series x(z), K = x.order.
 
-    A surd x(z) of order K <= 19 whose c_1 is a nonzero rational and whose
-    coefficients have one radicand each (every exact `particle_series`) takes
-    the partition sum of Lagrange inversion, `_partition_sum(x, 0)`; any other
-    takes the series engine, `_series_virials`.  Both give the same canonical
-    values."""
+    A surd x(z) of order K <= 19 with c_1 = 1 and one radicand in each
+    coefficient (every exact `particle_series`) takes the partition sum of
+    Lagrange inversion, `_partition_sum(x, 0)`; any other takes the series
+    engine, `_series_virials`.  Both give the same canonical values."""
     values = _partition_sum(x, 0) if _takes_partition_sum(x) else _series_virials(x)
     return VirialTable(values, _first_nonpositive_phi(x))
 
@@ -151,31 +149,27 @@ def _takes_partition_sum(x: PowerSeries) -> bool:
     c = x.coeffs
     return (
         isinstance(x.backend, SurdBackend) and 1 <= x.order <= _PARTITION_MAX_ORDER
-        and not c[0] and bool(c[1]) and c[1].is_rational() and all(len(v._num) <= 1 for v in c)
+        and not c[0] and c[1] == SURD.one and all(len(v._num) <= 1 for v in c)
     )
 
 
 def _partition_sum(x: PowerSeries, s: int) -> tuple[SurdRational, ...]:
-    """c_1**(-(n+s))/(n+1) * [z**n] (1+A)**(-(n+s)) for n = 0..K-1, by Lagrange
-    inversion summed over partitions (Comtet, Advanced Combinatorics, 1974,
-    3.8): V_(n+1) for s = 0 and [x**(n+1)] z(x) for s = 1.  With
-    x = c_1*z*(1 + A), A = sum_i a_i z**i, a_i = c_(i+1)/c_1,
+    """[z**n] (1+A)**(-(n+s)) / (n+1) for n = 0..K-1, by Lagrange inversion
+    summed over partitions (Comtet, Advanced Combinatorics, 1974, 3.8):
+    V_(n+1) for s = 0 and [x**(n+1)] z(x) for s = 1.  With x = z*(1 + A),
+    A = sum_i c_(i+1) z**i,
 
       [z**n] (1+A)**(-(n+s)) = sum over partitions of n, with l parts and
-            part i m_i times, of (-1)**l * C(n+l-1+s, l) * l!/prod(m_i!) * prod(a_i**m_i).
+            part i m_i times, of (-1)**l * C(n+l-1+s, l) * l!/prod(m_i!) * prod(c_(i+1)**m_i).
 
     A depth-first walk adds parts in nonincreasing order, so every node is a
     partition of some n < K, built from its parent by integer products; each
-    a_i is one radicand r_i with an integer numerator and denominator, so each
-    node is too.  Each sum is one lcm of its nodes' denominators and one
+    c_(i+1) is one radicand r_i with an integer numerator and denominator, so
+    each node is too.  Each sum is one lcm of its nodes' denominators and one
     normalization."""
-    k_max, c1 = x.order, x.coeffs[1]
-    (c1_num,), c1_den = c1._num.values(), c1._den
-    sign = 1 if c1_num > 0 else -1
-    parts = []  # (i, r_i, numerator, denominator > 0) of each nonzero a_i, ascending i
-    for i in range(1, k_max):
-        for r, v in x.coeffs[i + 1]._num.items():
-            parts.append((i, r, sign * v * c1_den, x.coeffs[i + 1]._den * abs(c1_num)))
+    k_max = x.order
+    parts = [(i, r, v, x.coeffs[i + 1]._den)  # (i, r_i, numerator, denominator > 0), ascending i
+             for i in range(1, k_max) for r, v in x.coeffs[i + 1]._num.items()]
     nodes: list[list[tuple[int, int, int]]] = [[(1, 1, 1)]] + [[] for _ in range(k_max - 1)]  # (num, r, den) by n
 
     def walk(n, top, length, top_count, multinomial, num, rad, den):
@@ -198,8 +192,7 @@ def _partition_sum(x: PowerSeries, s: int) -> tuple[SurdRational, ...]:
         acc: dict[int, int] = {}
         for num, r, d in nodes[n]:
             acc[r] = acc.get(r, 0) + num * (den // d)
-        scale = c1_den ** (n + s) * sign ** (n + s)  # c_1**(-(n+s)) / (n + 1)
-        values.append(_surd({r: v * scale for r, v in acc.items()}, den * (n + 1) * abs(c1_num) ** (n + s)))
+        values.append(_surd(acc, den * (n + 1)))
     return tuple(values)
 
 

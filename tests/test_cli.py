@@ -244,6 +244,10 @@ _ORDERS = _mostly(["2", "3", "4", "6"], ["-1", "0", "1", "101", "x", "3.5", _TOK
 _BACKENDS = _mostly(["exact", "decimal:1", "decimal:12", "decimal:30"],
                     ["decimal:0", "decimal:-5", "decimal:x", "decimal:1001", "decimal", "float", "",
                      _TOKEN, "decimal:" + _TOKEN])
+# what may follow the flags: mostly nothing, else a leftover, a bare flag, or a
+# long leftover or abbreviated --<prefix>=<value> that argparse would echo
+_TAILS = [[]] * 12 + [["extra"], ["--K"], ["-h"], ["--version"], [_TOKEN]] + [
+    [f"{prefix}={_TOKEN}"] for prefix in ("--o", "--s", "--f")]
 _SWEEPS = st.one_of(
     st.tuples(_mostly(["mu", "q", "t"], ["x", "", _TOKEN]), _BOUNDS, _BOUNDS, _BOUNDS)
     .map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}"),
@@ -275,7 +279,7 @@ def _argv(draw):
         maybe("--order-mu", _ORDERS)
     maybe("--format", _mostly(["csv", "json", "pretty"], ["xml", _TOKEN]))
     maybe("--out", st.just(os.devnull))
-    argv.extend(draw(st.sampled_from([[]] * 12 + [["extra"], ["--K"], ["-h"], ["--version"]])))
+    argv.extend(draw(st.sampled_from(_TAILS)))
     return argv
 
 
@@ -362,18 +366,49 @@ _PAST_LIMIT = f"a number of {_DIGIT_LIMIT} on integer conversion"
      "argument --format: invalid choice: '<300 characters>' (choose from 'csv', 'json', 'pretty')"),
     (["k" * 300], "argument command: invalid choice: '<300 characters>' (choose from "
                   "'virial', 'series', 'eps-expand', 'hamiltonian', 'sweep', 'check-paper')"),
+    # and every other argparse line that echoes an argument, or the value of --flag=value
+    (["virial", "--sf", "mu:0", "k" * 300], "unrecognized arguments: <300 characters>"),
+    (["virial", "--sf", "mu:0", "--" + "k" * 300], "unrecognized arguments: <302 characters>"),
+    (["virial", "--sf", "mu:0", "k" * 300, "k" * 301, "extra"],
+     "unrecognized arguments: <300 characters> <301 characters> extra"),
+    (["hamiltonian", "--ord=" + "k" * 300], "ambiguous option: <306 characters> could match --order, --order-mu"),
+    (["sweep", "--sf", "mu:0", "--s=" + "k" * 300], "ambiguous option: <304 characters> could match --sf, --sweep"),
+    (["--version=" + "k" * 300], "argument --version: ignored explicit argument '<300 characters>'"),
+    (["virial", "--sf", "mu:0", "--format", "k" * 300 + "\\"],  # repr escapes the backslash
+     "argument --format: invalid choice: '<301 characters>' (choose from 'csv', 'json', 'pretty')"),
 ], ids=["q-eps-order", "q-eps-order-101", "decimal", "decimal-past-limit", "K", "K-past-limit",
         "series-K-past-limit", "n-past-limit", "order-mu-past-limit", "sweep-count-step",
         "sweep-count-stop", "sweep-empty", "sweep-bad", "sweep-param", "rational", "form", "decimal-zeros",
-        "sweep-sf", "t-repeats", "K-text", "kind", "backend", "format-choice", "command-choice"])
+        "sweep-sf", "t-repeats", "K-text", "kind", "backend", "format-choice", "command-choice",
+        "leftover", "leftover-option", "leftovers", "ambiguous-option", "ambiguous-value", "ignored-value",
+        "format-choice-escaped"])
 def test_oversized_integers_exit_2_with_a_short_line(capsys, argv, message):
     # an oversized integer is named by its digit count, never echoed whole
     code, out, err = outcome(capsys, main, argv)
     assert (code, out) == (2, "")
     assert err.endswith(message + "\n")
     assert max(map(len, err.splitlines())) <= 200
-    if not message.startswith("argument"):  # argparse prints its usage lines first
+    if not message.startswith(("argument", "unrecognized", "ambiguous")):  # argparse prints usage first
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["hamiltonian", "--ord", "3"],
+     "qvirial hamiltonian: error: ambiguous option: --ord could match --order, --order-mu"),
+    (["virial", "--sf", "mu:0", "extra"], "qvirial: error: unrecognized arguments: extra"),
+    (["virial", "--sf", "mu:0", "--format=" + "k" * 40],
+     f"qvirial virial: error: argument --format: invalid choice: '{'k' * 40}' (choose from 'csv', 'json', 'pretty')"),
+], ids=["ambiguous", "leftover", "choice-at-40"])
+def test_argparse_echoes_a_short_argument_whole(capsys, argv, line):
+    code, out, err = outcome(capsys, main, argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", line)
+
+
+def test_an_unknown_format_is_a_bug_not_a_usage_error():
+    # argparse's choices keep every other format out, so main must not report it as exit 2
+    with pytest.raises(ValueError, match="unknown format 'xml'") as caught:
+        cli._format_table("xml", {}, [], [])
+    assert not isinstance(caught.value, (cli.UsageError, errors.DescriptorError))
 
 
 def test_a_long_descriptor_is_named_by_its_length_on_a_backend_error(capsys):
@@ -606,13 +641,15 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == GOLDEN_VIRIAL_CSV
 
 
-def test_unwritable_out_path_exits_2(tmp_path, capsys):
+def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
     # an --out path is user input: a missing directory or a directory as the
-    # target is a usage error, not a traceback
-    for target in (tmp_path / "missing" / "table.csv", tmp_path):
-        code, out, err = run_cli(capsys, "virial", "--sf", "mu:1/2", "--K", "3", "--out", str(target))
+    # target is a usage error, not a traceback; a path past 40 characters is named by its length
+    monkeypatch.chdir(tmp_path)
+    for target, shown in (("missing/table.csv", "missing/table.csv"), (".", "."),
+                          (f"{'d' * 250}/table.csv", "<260 characters>")):
+        code, out, err = run_cli(capsys, "virial", "--sf", "mu:1/2", "--K", "3", "--out", target)
         assert code == 2 and out == ""
-        assert err.startswith(f"qvirial: error: cannot write {target}: ")
+        assert err.startswith(f"qvirial: error: cannot write {shown}: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -201,6 +201,10 @@ def test_hash_agrees_with_eq():
     zero_poly = TruncPoly(2)
     assert zero_poly == 0 and hash(zero_poly) == hash(0)
     assert len({TruncPoly(2, {0: half}), half, Fraction(1, 2)}) == 1
+    linear = TruncPoly(2, {0: 1, 1: half})  # non-constant: hashed by order and coefficients
+    square = TruncPoly(2, {2: Fraction(1, 4), 1: 1, 0: 1})
+    assert linear * linear == square and hash(linear * linear) == hash(square)
+    assert len({linear * linear, square, linear, TruncPoly(3, {0: 1, 1: half})}) == 3
 
 
 def test_rational_part_accessors():

@@ -1,6 +1,6 @@
 """The package's shape: one public surface, built from the modules' own
-export lists, no unused import, and a source size kept within the ROADMAP's
-line budget."""
+export lists, the guards of that surface, no unused import, and a source size
+kept within the ROADMAP's line budget."""
 
 import ast
 from pathlib import Path
@@ -52,6 +52,27 @@ def test_errors_exports_exactly_the_exception_classes():
                if isinstance(value, type) and issubclass(value, errors.QVirialError)}
     assert sorted(errors.__all__) == sorted(classes)
     assert len(classes) == 8
+
+
+_X = qvirial.particle_series(qvirial.UNDEFORMED, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: qvirial.compose(_X, qvirial.particle_series(qvirial.UNDEFORMED, 3, qvirial.DecimalBackend(12))),
+     errors.MixedBackendError, "cannot compose exact with decimal:12 series"),
+    (lambda: _X * 3, TypeError, "expected a PowerSeries, got int"),
+    (lambda: qvirial.virial_coefficients(_X).coefficient(0), IndexError, "k must be in 1..3"),
+    (lambda: qvirial.virial_coefficients(_X).coefficient(4), IndexError, "k must be in 1..3"),
+    (lambda: qvirial.TruncPolyBackend(2).invert_unit(qvirial.TruncPoly(2, {0: 1, 1: 1})),
+     errors.ZeroLinearCoefficientError, "linear coefficient must be a constant polynomial to invert"),
+    (lambda: qvirial.to_decimal(object(), 3), TypeError, "unsupported scalar type object"),
+    (lambda: qvirial.eval_structure(object(), 3, qvirial.SURD), TypeError, "unknown structure function object"),
+], ids=["compose-backends", "series-times-int", "V_0", "V_K+1", "invert-truncpoly", "to-decimal", "eval-structure"])
+def test_public_guards_raise_their_own_errors(call, error, message):
+    # the exact type and message, so that a deleted guard fails here rather than later
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 def test_source_is_within_its_line_budget():

@@ -413,7 +413,7 @@ def test_jackson_is_linear_and_diagonal():
         scalar = rand_fraction(rng)
         image_f, image_g = jackson_apply(sf, surd_series(f)), jackson_apply(sf, surd_series(g))
         combined = jackson_apply(sf, surd_series([a + scalar * b for a, b in zip(f, g)]))
-        assert combined.coeffs == tuple(a + scalar * b for a, b in zip(image_f, image_g))
+        assert combined.coeffs == tuple(a + scalar * b for a, b in zip(image_f.coeffs, image_g.coeffs))
 
 
 def test_euler_inverse_examples():

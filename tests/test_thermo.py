@@ -597,14 +597,17 @@ def test_small_exact_fugacity_series_equal_the_reversion(sf, order):
 
 
 @given(
-    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=5)),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=5))
+    .filter(lambda c1: c1 != 1),
     st.integers(1, 19).flatmap(lambda k: st.lists(surd_coeff_st, min_size=k - 1, max_size=k - 1)),
 )
 @settings(max_examples=60, deadline=None)
 def test_the_fugacity_walk_equals_the_reversion_for_any_rational_c1(c1, tail):
-    x = PowerSeries(SURD, [SURD.zero, c1] + tail)
-    assert thermo._takes_partition_sum(x)
-    assert fugacity_of_density(x) == series.revert(x)
+    # the walk takes c_1 = 1, as in every particle_series; any other c_1 takes revert
+    for lead, walks in ((1, True), (c1, False)):
+        x = PowerSeries(SURD, [SURD.zero, lead] + tail)
+        assert thermo._takes_partition_sum(x) == walks
+        assert fugacity_of_density(x) == series.revert(x)
 
 
 def test_fugacity_off_the_partition_sum_takes_revert(monkeypatch):
