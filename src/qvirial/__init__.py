@@ -2,9 +2,10 @@
 
 Structure functions combining a q-deformation (interaction) with a quadratic
 deformation (particle compositeness) feed a truncated-power-series engine
-over exact coefficient rings; virial coefficients come out either from exact
-series reversion or from closed forms, with a high-precision decimal backend
-for the variants that leave the surd ring.
+over exact coefficient rings; virial coefficients come out of Lagrange
+inversion, summed over partitions for short exact tables and by the series
+engine otherwise, with closed forms for V_2..V_5 as a cross-check and a
+high-precision decimal backend for the variants that leave the surd ring.
 """
 
 from . import errors, exact, perturb, series, structfn, thermo

@@ -33,7 +33,7 @@ class NonzeroConstantTermError(QVirialError, ValueError):
 
 
 class ZeroLinearCoefficientError(QVirialError, ValueError):
-    """Series reversion needs an invertible rational linear coefficient."""
+    """Series reversion needs the linear coefficient 1, which every density series has."""
 
 
 class UnsupportedOrderError(QVirialError, ValueError):

@@ -20,10 +20,10 @@ A scalar enters a ring only through its backend's methods: a rational
 through `from_ratio(num, den)` (den > 0, not necessarily reduced), which
 `from_fraction` delegates to, and n^(-k/2) through `half_power(n, k)`, which
 every backend defines for integers n >= 1 and odd k >= 1 and rejects
-otherwise with ValueError.  `invert_unit` inverts a nonzero rational unit and
-raises ZeroLinearCoefficientError on anything else.  A SurdRational and a
-TruncPoly mix from either side, the surd taken as the constant term; a Decimal
-mixes with neither.
+otherwise with ValueError.  No backend inverts a scalar: every series it
+reverts has the linear coefficient 1.  A SurdRational and a TruncPoly mix
+from either side, the surd taken as the constant term; a Decimal mixes with
+neither.
 Each backend's `dot(xs, ys)` equals the left-to-right operator sum of
 xs[i]*ys[i] (inside `arith()`) and raises ValueError unless xs and ys are
 equally long; the surd `dot` scales each nonzero term once to the lcm of
@@ -52,7 +52,6 @@ from .errors import (
     MixedBackendError,
     UnboundVariableError,
     UnsupportedBackendError,
-    ZeroLinearCoefficientError,
 )
 
 __all__ = [
@@ -227,14 +226,6 @@ class SurdRational:
             raise ZeroDivisionError("division of SurdRational by zero")
         sign = -1 if n < 0 else 1  # the sign moves into the numerators: _den stays positive
         return _surd({r: sign * d * c for r, c in self._num.items()}, self._den * abs(n))
-
-    def __pow__(self, exponent: int) -> "SurdRational":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("SurdRational powers must be nonnegative integers")
-        out = _ONE
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -435,15 +426,6 @@ class SurdBackend(_Backend):
         s, r = radical_normalize(n)
         return _surd({r: s}, n**e)
 
-    def invert_unit(self, scalar: SurdRational) -> SurdRational:
-        if not scalar:
-            raise ZeroLinearCoefficientError("cannot invert zero")
-        if not scalar.is_rational():
-            raise ZeroLinearCoefficientError(
-                f"linear coefficient {scalar.render()} is not an invertible rational"
-            )
-        return self.from_fraction(Fraction(1) / scalar.rational_part())
-
     def dot(self, xs, ys) -> SurdRational:
         """sum_i xs[i]*ys[i] for equally long xs, ys, over the lcm of the
         nonzero terms' denominator products, normalized once.  Per term the operand
@@ -504,14 +486,6 @@ class TruncPolyBackend(_Backend):
     def half_power(self, n: int, k: int) -> TruncPoly:
         return self.from_surd(SURD.half_power(n, k))
 
-    def invert_unit(self, scalar: TruncPoly) -> TruncPoly:
-        const = scalar.coefficient(0)
-        if scalar != const:
-            raise ZeroLinearCoefficientError(
-                "linear coefficient must be a constant polynomial to invert"
-            )
-        return self.from_surd(SURD.invert_unit(const))
-
     def describe(self) -> str:
         return f"truncpoly[eps<={self.order}]"
 
@@ -560,12 +534,6 @@ class DecimalBackend(_Backend):
         e = _half_power_exponent(n, k)
         with self.arith():
             return Decimal(n).sqrt() / Decimal(n) ** e
-
-    def invert_unit(self, scalar: Decimal) -> Decimal:
-        if scalar == 0:
-            raise ZeroLinearCoefficientError("cannot invert zero")
-        with self.arith():
-            return Decimal(1) / scalar
 
     def describe(self) -> str:
         return f"decimal:{self.digits}"

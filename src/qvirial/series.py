@@ -173,20 +173,18 @@ def compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 def revert(f: PowerSeries) -> PowerSeries:
     """Compositional inverse g with compose(f, g) = identity to order K.
 
-    Needs c_0 = 0 and an invertible rational c_1 (every series in the gas
-    pipeline has c_1 = phi(1) = 1).  Up to order 16, solved coefficient by
-    coefficient: the power table P[j][m] = [x^m] g**j is filled from known
-    lower-order coefficients, and each new g_m makes [x^m] f(g) vanish.  Above
-    it, the inverse g to order n = ceil(K/2) becomes g - g'*(f(g) - x),
-    exact to order 2n.
+    Needs c_0 = 0 and c_1 = 1, as every density series x(z) has (c_1 = phi(1)).
+    Up to order 16, solved coefficient by coefficient: the power table
+    P[j][m] = [x^m] g**j is filled from known lower-order coefficients, and
+    each new g_m makes [x^m] f(g) vanish.  Above it, the inverse g to order
+    n = ceil(K/2) becomes g - g'*(f(g) - x), exact to order 2n.
     """
     if f.coeffs[0]:
         raise NonzeroConstantTermError("revert needs a series with zero constant term")
     k = f.order
-    if k < 1 or not f.coeffs[1]:
-        raise ZeroLinearCoefficientError("revert needs a nonzero linear coefficient")
+    if k < 1 or f.coeffs[1] != 1:  # 1, not backend.one: a TruncPoly compares its order too
+        raise ZeroLinearCoefficientError("revert needs the linear coefficient 1")
     backend = f.backend
-    inv_c1 = backend.invert_unit(f.coeffs[1])
     zero, dot = backend.zero, backend.dot
     if k > _DIRECT_REVERT_ORDER:
         n = (k + 1) // 2
@@ -197,7 +195,7 @@ def revert(f: PowerSeries) -> PowerSeries:
             slope = PowerSeries(backend, [a * half[a] for a in range(1, k - n + 1)])
             return PowerSeries(backend, half + (residual * slope).coeffs)
     with backend.arith():
-        g: list[Scalar] = [zero, inv_c1]
+        g: list[Scalar] = [zero, backend.one]
         # power[j] holds [x^m] g**j for the g known so far; power[1] aliases g
         power: list[list[Scalar]] = [[], g]
         for m in range(2, k + 1):
@@ -206,7 +204,7 @@ def revert(f: PowerSeries) -> PowerSeries:
                 # [x^m] g**j = sum_{i = j-1}^{m-1} [x^i] g**(j-1) * g[m - i]
                 power[j].append(dot(power[j - 1][j - 1:m], g[m - j + 1:0:-1]))
             residual = dot(f.coeffs[2:m + 1], [row[m] for row in power[2:]])
-            g.append(-residual * inv_c1)
+            g.append(-residual)
         return PowerSeries(backend, g)
 
 

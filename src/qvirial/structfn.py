@@ -189,8 +189,8 @@ def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple
             raise UnsupportedBackendError(
                 "QBasicSeries evaluates only on a TruncPoly backend in eps"
             )
-        cut = min(sf.order, backend.order)
-        return tuple(TruncPoly(backend.order, eval_eps(n, cut).coeffs) for n in levels)
+        cut = min(sf.order, backend.order)  # no eps power past the series' own order
+        return tuple(eval_eps(n, cut) for n in levels)
     if isinstance(sf, QBasicOfQuadratic) or isinstance(sf, Interpolated) and sf.t != 1:
         if not isinstance(backend, DecimalBackend):
             raise UnsupportedBackendError(
@@ -208,9 +208,10 @@ def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple
                 row.append((1 - q_dec ** whole * exps[rem]) / (1 - q_dec))
             if isinstance(sf, QBasicOfQuadratic):
                 return tuple(row)
+            # phi(0) = 0 and phi(1) = 1 exactly from this leg: t*1 + (1-t)*1 can round off 1
             t = backend.from_fraction(sf.t)
-            return tuple(t * backend.from_ratio(*_phi_ratio(sf, n)) + (1 - t) * leg
-                         for n, leg in enumerate(row))
+            return tuple(row[:2]) + tuple(t * backend.from_ratio(*_phi_ratio(sf, n)) + (1 - t) * row[n]
+                                          for n in levels[2:])
     if isinstance(sf, (QBasic, Quadratic, QuadraticOfQBasic, Interpolated)):
         return tuple(backend.from_ratio(*_phi_ratio(sf, n)) for n in levels)
     raise TypeError(f"unknown structure function {type(sf).__name__}")

@@ -89,9 +89,10 @@ def pressure_series(x: PowerSeries) -> PowerSeries:
 
 
 def fugacity_of_density(x: PowerSeries) -> PowerSeries:
-    """z as a series in the reduced density x = lambda**3/v (reversion of x(z)):
-    the partition sum of Lagrange inversion where the virial table takes it,
-    `revert` otherwise, with the same canonical values."""
+    """z as a series in the reduced density x = lambda**3/v (reversion of x(z),
+    which needs c_0 = 0 and c_1 = 1): the partition sum of Lagrange inversion
+    where the virial table takes it, `revert` otherwise, with the same
+    canonical values."""
     if _takes_partition_sum(x):
         return PowerSeries(x.backend, (x.backend.zero,) + _partition_sum(x, 1))
     return revert(x)
@@ -135,12 +136,13 @@ def _first_nonpositive_phi(x: PowerSeries) -> int | None:
 
 
 def virial_coefficients(x: PowerSeries) -> VirialTable:
-    """Virial table V_1..V_K of the density series x(z), K = x.order.
+    """Virial table V_1..V_K of the density series x(z), K = x.order, which
+    needs c_0 = 0 and c_1 = 1 as every `particle_series` has.
 
-    A surd x(z) of order K <= 19 with c_1 = 1 and one radicand in each
-    coefficient (every exact `particle_series`) takes the partition sum of
-    Lagrange inversion, `_partition_sum(x, 0)`; any other takes the series
-    engine, `_series_virials`.  Both give the same canonical values."""
+    A surd x(z) of order K <= 19 with one radicand in each coefficient (every
+    exact `particle_series`) takes the partition sum of Lagrange inversion,
+    `_partition_sum(x, 0)`; any other takes the series engine,
+    `_series_virials`.  Both give the same canonical values."""
     values = _partition_sum(x, 0) if _takes_partition_sum(x) else _series_virials(x)
     return VirialTable(values, _first_nonpositive_phi(x))
 
@@ -201,18 +203,18 @@ def _series_virials(x: PowerSeries) -> tuple[Scalar, ...]:
     as h, and compose the pressure P with it once; V_k = L_(k-1) - (k-1)*Q_k
     with Q = P(h), L = x*h'/h.  Mod x**(K+1), z(x) = h + d with d in x**(n+1), so P(z(x)) =
     Q + P'(h)*d, and P'(h) = x(h)/h = Q'/h' with Newton's d = -(x(h) - x)/x'(h)
-    gives Q - x*Q' + x*L.  L_m = ((m+1)*u_m - sum_{i>=1} u_i*L_(m-i)) / u_0, u = h/x."""
+    gives Q - x*Q' + x*L.  L_m = (m+1)*u_m - sum_{i>=1} u_i*L_(m-i), u = h/x, u_0 = 1."""
     backend, k, n = x.backend, x.order, (x.order + 1) // 2
     h = revert(PowerSeries(backend, x.coeffs[:n + 1]))
     pad = (backend.zero,) * (k - n)
     q = compose(euler_inverse(x), PowerSeries(backend, h.coeffs + pad)).coeffs
     with backend.arith():
-        # u_0 = 1/c_1, so L_m = -c_1 * dot([u_m, u_1, .., u_t], [-(m+1), L_(m-1), .., L_(m-t)]), t = min(m, n-1)
-        u, minus_c1, logd = h.coeffs[1:] + pad, -x.coeffs[1], [backend.one]
+        # L_m = -dot([u_m, u_1, .., u_t], [-(m+1), L_(m-1), .., L_(m-t)]), t = min(m, n-1)
+        u, logd = h.coeffs[1:] + pad, [backend.one]
         for m in range(1, k):
             t = min(m, n - 1)
             ys = [backend.from_ratio(-m - 1, 1)] + logd[m - t:][::-1]
-            logd.append(backend.dot((u[m],) + u[1:t + 1], ys) * minus_c1)
+            logd.append(-backend.dot((u[m],) + u[1:t + 1], ys))
         return tuple(logd[j] - j * q[j + 1] for j in range(k))
 
 

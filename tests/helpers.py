@@ -102,14 +102,14 @@ def convolve(left: PowerSeries, right: PowerSeries) -> PowerSeries:
 
 
 def loop_revert(f: PowerSeries) -> PowerSeries:
-    """The compositional inverse of f (c_0 = 0, invertible c_1) by the power
-    table filled one ring operation per term: a reference for revert's dot
+    """The compositional inverse of f (c_0 = 0, c_1 = 1) by the power table
+    filled one ring operation per term: a reference for revert's dot
     products."""
     k, backend = f.order, f.backend
     zero = backend.zero
-    inv_c1 = backend.invert_unit(f.coeffs[1])
+    assert f.coeffs[1] == 1, "loop_revert takes a monic series"
     with backend.arith():
-        g = [zero, inv_c1]
+        g = [zero, backend.one]
         power = [[], g]  # power[j][m] = [x^m] g**j; power[1] aliases g
         for m in range(2, k + 1):
             power.append([zero] * m)
@@ -122,7 +122,7 @@ def loop_revert(f: PowerSeries) -> PowerSeries:
                 power[j].append(coeff)
                 if f.coeffs[j]:
                     residual = residual + f.coeffs[j] * coeff
-            g.append(-residual * inv_c1)
+            g.append(-residual)
         return PowerSeries(backend, g)
 
 
@@ -169,12 +169,6 @@ class FractionSurd:
 
     def __truediv__(self, other):
         return self * (1 / Fraction(other))
-
-    def __pow__(self, exponent):
-        out = FractionSurd({1: 1})
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         return self.terms == other.terms

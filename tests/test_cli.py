@@ -285,6 +285,7 @@ def _argv(draw):
 
 @given(_argv())
 @example(["virial", "--sf", f"q-mu:{1 + Fraction(1, 10**28)},1/7", "--K", "4", "--backend", "decimal:12"])
+@example(["virial", "--sf", "t:-5/7;mu:1/4;q:3/2", "--K", "6", "--backend", "decimal:12"])  # phi(1) mixed off 1
 @example(["sweep", "--sf", "t:1/2;mu:1/7;q:2", "--K", "3", "--backend", "decimal:1",
           "--sweep", f"q={1 - Fraction(1, 10**20)}:2:1"])
 @example(["sweep", "--sf", "mu:0", "--K", "3", "--sweep", f"mu=0:{_OVERSIZED}:1/2"])

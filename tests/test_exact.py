@@ -12,6 +12,7 @@ from qvirial import (
     DecimalBackend,
     MixedBackendError,
     NumberPoly,
+    PowerSeries,
     SURD,
     SurdRational,
     TruncPoly,
@@ -19,6 +20,7 @@ from qvirial import (
     UnboundVariableError,
     ZeroLinearCoefficientError,
     radical_normalize,
+    revert,
     to_decimal,
 )
 from qvirial.cli import main
@@ -99,15 +101,12 @@ def test_every_backend_keeps_the_half_power_and_unit_contract(backend):
                 assert value == backend.from_surd(exact)
             else:
                 assert to_decimal(value, 40) == to_decimal(exact, 40), (n, k)
-    with pytest.raises(ZeroLinearCoefficientError, match="^cannot invert zero$"):
-        backend.invert_unit(backend.zero)
-    if backend.is_exact:
-        root2 = SurdRational({2: 1})
-        with pytest.raises(ZeroLinearCoefficientError) as surd_error:
-            SURD.invert_unit(root2)
-        with pytest.raises(ZeroLinearCoefficientError) as error:
-            backend.invert_unit(root2 if backend is SURD else backend.from_surd(root2))
-        assert str(error.value) == str(surd_error.value)
+    # the unit contract: a series reverts on its backend when its c_1 is 1, and only then
+    for c1 in (backend.zero, backend.from_ratio(2, 1), backend.half_power(2, 1)):
+        with pytest.raises(ZeroLinearCoefficientError, match="^revert needs the linear coefficient 1$"):
+            revert(PowerSeries(backend, [backend.zero, c1, backend.one]))
+    lead = TruncPoly(1, {0: 1}) if isinstance(backend, TruncPolyBackend) else backend.one  # of lower eps order too
+    assert revert(PowerSeries(backend, [backend.zero, lead, lead])).coeffs[1:] == (1, -1)
 
 
 # -- surd ring ---------------------------------------------------------------
@@ -482,9 +481,9 @@ def _assert_matches(value, ref):
     assert 0 not in num.values() and list(num) == sorted(num)
 
 
-@given(_raw_st, _raw_st, _scalars_st, st.integers(0, 4))
+@given(_raw_st, _raw_st, _scalars_st)
 @settings(max_examples=200, deadline=None)
-def test_integer_form_matches_fraction_reference(a_terms, b_terms, k, e):
+def test_integer_form_matches_fraction_reference(a_terms, b_terms, k):
     built_a, built_b = _build(a_terms), _build(b_terms)
     if built_a is None or built_b is None:
         return
@@ -502,7 +501,6 @@ def test_integer_form_matches_fraction_reference(a_terms, b_terms, k, e):
         (k - a, rk - ra),
         (a * k, ra * k),
         (k * a, ra * k),
-        (a ** e, ra ** e),
     ]:
         _assert_matches(value, ref)
     if k:

@@ -63,11 +63,11 @@ _X = qvirial.particle_series(qvirial.UNDEFORMED, 3)
     (lambda: _X * 3, TypeError, "expected a PowerSeries, got int"),
     (lambda: qvirial.virial_coefficients(_X).coefficient(0), IndexError, "k must be in 1..3"),
     (lambda: qvirial.virial_coefficients(_X).coefficient(4), IndexError, "k must be in 1..3"),
-    (lambda: qvirial.TruncPolyBackend(2).invert_unit(qvirial.TruncPoly(2, {0: 1, 1: 1})),
-     errors.ZeroLinearCoefficientError, "linear coefficient must be a constant polynomial to invert"),
+    (lambda: qvirial.revert(qvirial.PowerSeries(qvirial.SURD, [0, 2, 1])),
+     errors.ZeroLinearCoefficientError, "revert needs the linear coefficient 1"),
     (lambda: qvirial.to_decimal(object(), 3), TypeError, "unsupported scalar type object"),
     (lambda: qvirial.eval_structure(object(), 3, qvirial.SURD), TypeError, "unknown structure function object"),
-], ids=["compose-backends", "series-times-int", "V_0", "V_K+1", "invert-truncpoly", "to-decimal", "eval-structure"])
+], ids=["compose-backends", "series-times-int", "V_0", "V_K+1", "revert-non-monic", "to-decimal", "eval-structure"])
 def test_public_guards_raise_their_own_errors(call, error, message):
     # the exact type and message, so that a deleted guard fails here rather than later
     with pytest.raises(Exception) as caught:

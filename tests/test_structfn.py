@@ -28,6 +28,8 @@ from qvirial import (
     eval_structure,
     monomial_expansion,
     parse_descriptor,
+    particle_series,
+    virial_coefficients,
 )
 
 from qvirial import errors, exact, structfn
@@ -44,6 +46,28 @@ q_values = st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=
 
 
 # -- eval --------------------------------------------------------------------
+
+
+# every variant on every backend it evaluates on; t < 0 mixes Interpolated's
+# legs as t*1 + (1-t)*1, which rounds off 1 at some decimal budgets
+_DECIMALS = [DecimalBackend(digits) for digits in (1, 5, 12, 20, 50)]
+_RATIONAL_VARIANTS = [QBasic(Fraction(-3, 2)), QBasic(Fraction(2, 5)), Quadratic(Fraction(1, 4)),
+                      QuadraticOfQBasic(Fraction(1, 3), Fraction(3, 2)),
+                      Interpolated(Fraction(1), Fraction(1, 4), Fraction(3, 2))]
+_DECIMAL_VARIANTS = [QBasicOfQuadratic(Fraction(3, 2), Fraction(1, 4)), QBasicOfQuadratic(Fraction(1, 3), Fraction(1, 7))]
+_DECIMAL_VARIANTS += [Interpolated(t, Fraction(1, 4), Fraction(3, 2))
+                      for t in (Fraction(-5, 7), Fraction(-6, 7), Fraction(-1, 3), Fraction(-2, 9), Fraction(1, 2), Fraction(3))]
+_UNIT_ROWS = [(sf, backend) for sf in _RATIONAL_VARIANTS for backend in [SURD, TruncPolyBackend(2)] + _DECIMALS]
+_UNIT_ROWS += [(sf, backend) for sf in _DECIMAL_VARIANTS for backend in _DECIMALS]
+_UNIT_ROWS += [(QBasicSeries(n), TruncPolyBackend(m)) for n, m in ((2, 2), (1, 3), (3, 1))]
+
+
+@pytest.mark.parametrize("sf, backend", _UNIT_ROWS, ids=lambda value: value.describe())
+def test_every_variant_has_phi0_zero_and_phi1_one_exactly(sf, backend):
+    # so every density series x(z) starts 0 + 1*z, which revert relies on
+    phi = eval_structure(sf, 3, backend)
+    assert phi[0] == 0 and phi[1] == 1
+    assert particle_series(sf, 3, backend).coeffs[1] == 1
 
 
 def test_eval_zero_is_zero_for_every_variant():
@@ -340,12 +364,21 @@ def test_eval_eps_via_eval_structure_backend():
 
 
 def test_eps_row_lives_on_the_backend_order_and_the_series_cut():
-    # QBasicSeries(2) on TruncPolyBackend(4): order-4 polynomials truncated at eps**2
-    row = eval_structure(QBasicSeries(2), 6, TruncPolyBackend(4))
-    assert len(row) == 7
-    for n, value in enumerate(row):
-        assert value.order == 4
-        assert value == TruncPoly(4, {i: math.comb(n, i + 1) for i in range(3)}), n
+    # each row is of the smaller order: QBasicSeries(2) on TruncPolyBackend(4)
+    # knows no eps**3 or eps**4 coefficient, and QBasicSeries(4) on
+    # TruncPolyBackend(2) keeps none past the ring's eps**2
+    for series_order, ring_order in ((2, 4), (4, 2)):
+        row = eval_structure(QBasicSeries(series_order), 6, TruncPolyBackend(ring_order))
+        assert len(row) == 7
+        for n, value in enumerate(row):
+            assert value.order == 2
+            assert value == TruncPoly(2, {i: math.comb(n, i + 1) for i in range(3)}), n
+    # and the whole table keeps that order: V_4 of QBasicSeries(1) on an eps**3
+    # ring is the order-1 head of the true V_4 of QBasicSeries(3)
+    v4 = virial_coefficients(particle_series(QBasicSeries(1), 4, TruncPolyBackend(3))).coefficient(4)
+    true = virial_coefficients(particle_series(QBasicSeries(3), 4, TruncPolyBackend(3))).coefficient(4)
+    assert true.coefficient(2) == SurdRational({1: Fraction(-3, 32), 2: Fraction(-15, 256), 6: Fraction(5, 72)})
+    assert v4 == TruncPoly(1, {i: true.coefficient(i) for i in range(2)})
 
 
 def test_rational_phi_matches_fraction_reference():

@@ -177,7 +177,7 @@ def test_paper_verbatim_fifth_coefficient_differs():
     assert to_decimal(engine, 6) == "-0.000004"
     # the two differ exactly by the misprinted third term: -2*phi3^3/3^5 vs +2*phi3^2/3^5
     phi3 = SURD.from_fraction(3)
-    delta = phi3**3 * frac(2, 243) + phi3**2 * frac(2, 243)
+    delta = phi3 * phi3 * phi3 * frac(2, 243) + phi3 * phi3 * frac(2, 243)
     assert engine - verbatim == delta
 
 
@@ -532,14 +532,11 @@ def full_reversion_table(x):
     return series.compose(series.euler_inverse(x), series.revert(x)).coeffs[1:]
 
 
-@given(
-    st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=5)),
-    st.sampled_from(range(2, 25)).flatmap(lambda k: st.lists(surd_coeff_st, min_size=k - 1, max_size=k - 1)),
-)
+@given(st.sampled_from(range(2, 25)).flatmap(lambda k: st.lists(surd_coeff_st, min_size=k - 1, max_size=k - 1)))
 @settings(max_examples=60, deadline=None)
-def test_half_order_reversion_table_equals_the_full_composition(c1, tail):
-    # any density series with a rational c_1 != 0, at even and odd K up to 24
-    x = PowerSeries(SURD, [SURD.zero, c1] + tail)
+def test_half_order_reversion_table_equals_the_full_composition(tail):
+    # any density series (c_1 = 1), at even and odd K up to 24
+    x = PowerSeries(SURD, [SURD.zero, SURD.one] + tail)
     assert virial_coefficients(x).values == full_reversion_table(x)
 
 
@@ -603,11 +600,16 @@ def test_small_exact_fugacity_series_equal_the_reversion(sf, order):
 )
 @settings(max_examples=60, deadline=None)
 def test_the_fugacity_walk_equals_the_reversion_for_any_rational_c1(c1, tail):
-    # the walk takes c_1 = 1, as in every particle_series; any other c_1 takes revert
-    for lead, walks in ((1, True), (c1, False)):
-        x = PowerSeries(SURD, [SURD.zero, lead] + tail)
-        assert thermo._takes_partition_sum(x) == walks
-        assert fugacity_of_density(x) == series.revert(x)
+    # the walk takes c_1 = 1, as in every particle_series; any other c_1 takes
+    # revert, which raises for it, as the virial table does
+    x = PowerSeries(SURD, [SURD.zero, SURD.one] + tail)
+    assert thermo._takes_partition_sum(x)
+    assert fugacity_of_density(x) == series.revert(x)
+    x = PowerSeries(SURD, [SURD.zero, c1] + tail)
+    assert not thermo._takes_partition_sum(x)
+    for reversion in (fugacity_of_density, series.revert, virial_coefficients):
+        with pytest.raises(ZeroLinearCoefficientError, match="^revert needs the linear coefficient 1$"):
+            reversion(x)
 
 
 def test_fugacity_off_the_partition_sum_takes_revert(monkeypatch):
