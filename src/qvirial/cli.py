@@ -140,8 +140,6 @@ def _format_table(fmt: str, meta: dict[str, str], columns: list[str], rows: list
 def _parse_backend_flag(text: str) -> Backend:
     if text == "exact":
         return SURD
-    if text == "decimal":
-        return DecimalBackend()
     if text.startswith("decimal:"):
         digits = text.split(":", 1)[1]
         try:

@@ -497,7 +497,7 @@ class DecimalBackend(_Backend):
     is_exact = False
     zero, one = Decimal(0), Decimal(1)
 
-    def __init__(self, digits: int = 50) -> None:
+    def __init__(self, digits: int) -> None:
         if digits < 1:
             raise ValueError("digit budget must be >= 1")
         self._set(digits)

@@ -50,10 +50,7 @@ class NumberPoly:
 
     @classmethod
     def _from_numerators(cls, nums: Sequence[int], den: int) -> "NumberPoly":
-        """sum_k nums[k]*N**k / den for integers, each coefficient reduced once."""
-        nums = list(nums)
-        while nums and not nums[-1]:
-            nums.pop()
+        """sum_k nums[k]*N**k / den for integers, each coefficient reduced once; nums[-1] != 0."""
         out = object.__new__(cls)
         out.coeffs = tuple(Fraction(c, den) for c in nums)
         return out

@@ -220,12 +220,10 @@ def eval_structure(sf: StructureFunction, order: int, backend: Backend) -> tuple
 def eval_eps(n: int, order: int) -> TruncPoly:
     """[n]_q at q = 1 + eps: the exact polynomial sum_i C(n, i+1) * eps**i.
 
-    The polynomial has true degree n - 1; `order` truncates it.
+    The polynomial has true degree n - 1; `order` (>= 0, as TruncPoly checks) truncates it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     coeffs = {i: Fraction(math.comb(n, i + 1)) for i in range(min(order, n - 1) + 1)}
     return TruncPoly(order, coeffs)
 

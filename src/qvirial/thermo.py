@@ -99,7 +99,7 @@ def fugacity_of_density(x: PowerSeries) -> PowerSeries:
 
 
 class VirialTable(Frozen):
-    """Virial coefficients V_1..V_K of the engine, with admissibility metadata.
+    """Virial coefficients V_1..V_K of the pipeline, with admissibility metadata.
 
     first_nonpositive_phi flags the smallest n with phi(n) <= 0 (the quadratic
     deformation at mu = 1/m cuts the spectrum at n = m+1); the series is still

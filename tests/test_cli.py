@@ -4,9 +4,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qvirial import DecimalBackend, cli, errors, exact, parse_descriptor, particle_series, thermo, virial_coefficients
+from qvirial import (DecimalBackend, NumberPoly, cli, errors, exact, parse_descriptor, particle_series, thermo,
+                     virial_coefficients)
 from qvirial.cli import main
 
 
@@ -168,10 +171,16 @@ _PINNED_ERRORS = [  # (argv, exit code, stderr without its newline)
     ("virial --sf mu:1/3 --backend decimal:x", 2, _E + "bad decimal digit budget: invalid int value: 'x'"),
     ("series --sf mu:1/3 --backend float", 2, _E + "unknown backend 'float' (use exact or decimal:<digits>)"),
     ("virial --sf mu:1/3 --backend decimal:1001", 2, _E + "decimal digit budget is 1001, above the cap of 1000"),
+    ("virial --sf mu:0 --K 2 --backend decimal", 2, _E + "unknown backend 'decimal' (use exact or decimal:<digits>)"),
     ("virial --sf q-eps:order=3 --backend decimal:20", 3, _Q_EPS_DECIMAL),
     ("series --sf q-eps:order=101", 2, _E + "the q-eps order is 101, above the cap of 100"),
     ("virial --sf q-mu:3/2,1/4", 3,
      _B + "q-mu:3/2,1/4 needs the decimal backend: rational powers of q leave the exact ring"),
+    ("virial --sf q-mu:1,1/4", 2, _E + "QBasicOfQuadratic stores q != 1; its q -> 1 limit is Quadratic(mu)"),
+    ("virial --sf q-mu:-1/2,1/4 --backend decimal:5", 2, _E + "QBasicOfQuadratic needs q > 0 (rational powers of q)"),
+    ("virial --sf t:1/2;mu:1/4;q:1 --backend decimal:5", 2,
+     _E + "Interpolated stores q != 1 (its QBasicOfQuadratic leg requires it)"),
+    ("virial --sf t:1/2;mu:1/4;q:0 --backend decimal:5", 2, _E + "Interpolated needs q > 0"),
     ("eps-expand --order 0", 2, _E + "--order must be >= 1"),
     ("eps-expand --order 101", 2, _E + "--order is 101, above the cap of 100"),
     ("eps-expand --n -1", 2, _E + "--n must be nonnegative"),
@@ -619,6 +628,16 @@ def test_python_m_entry_matches_main(capsys, monkeypatch, argv):
     assert (done.returncode, done.stdout, done.stderr) == outcome(capsys, main, argv)
 
 
+def test_python_m_runs_main_in_process(capsys, monkeypatch):
+    # the same entry as above, in this process: a line tracer sees __main__ and cli.entry run
+    argv = ["virial", "--sf", "mu:1/2", "--K", "3"]
+    monkeypatch.setattr(sys, "argv", ["qvirial", *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("qvirial", run_name="__main__", alter_sys=True)
+    assert done.value.code == 0
+    assert capsys.readouterr().out == run_cli(capsys, *argv)[1]
+
+
 def test_start_up_imports_every_module_and_no_code_generators():
     # a fresh interpreter's set-up, as every CLI job pays it: no module waits
     # for a handler to import it, and none pulls in dataclasses, inspect or
@@ -964,6 +983,34 @@ def test_check_paper_reports_a_failed_anchor_and_an_agreeing_misprint(capsys, mo
     ]
     assert [c["status"] for c in payload["checks"]][:6] == ["PASS"] * 6
     assert payload["checks"][-1]["detail"] == "printed and engine agree"
+
+
+def _shifted(every):
+    """virial_coefficients with 1 added to every value of the first table and of each `every`-th after it."""
+    def wrong(virials):
+        calls = itertools.count()
+
+        def wrapped(x):
+            table = virials(x)
+            return table if next(calls) % every else table.replace(values=tuple(v + 1 for v in table.values))
+        return wrapped
+    return wrong
+
+
+# every value a check compares is wrong (the t-family check compares two tables
+# per pair, so only one of them is), so that an inverted comparison fails too
+@pytest.mark.parametrize("check, name, wrong", [
+    ("_check_hamiltonian_identity", "hamiltonian_split", lambda split: lambda order: (NumberPoly([-1]),) * (order + 1)),
+    ("_check_quadratic_second_virial", "virial_coefficients", _shifted(1)),
+    ("_check_deviation_limits", "second_virial_deviation", lambda dev: lambda sf: dev(sf) + (sf.mu == 0)),
+    ("_check_deviation_limits", "second_virial_deviation", lambda dev: lambda sf: dev(sf) + (sf.q == 1)),
+    ("_check_closed_forms", "closed_form_virial", lambda form: lambda sf, k, backend: form(sf, k, backend) + 1),
+    ("_check_t_family_endpoints", "virial_coefficients", _shifted(2)),
+], ids=["hamiltonian", "quadratic", "deviation-mu-0", "deviation-q-1", "closed-forms", "t-family"])
+def test_each_paper_check_can_fail(monkeypatch, check, name, wrong):
+    # check-paper's golden shows every check passing; here each one is shown to fail
+    monkeypatch.setattr(cli, name, wrong(getattr(cli, name)))
+    assert getattr(cli, check)() is False
 
 
 def test_the_closed_form_check_reverts_at_full_order(monkeypatch):

@@ -2,6 +2,7 @@
 decimal rendering, and ring axioms."""
 
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -184,6 +185,9 @@ def test_mixed_backend_rejected():
     assert s - p == -(p - s)
     with pytest.raises(MixedBackendError):
         s / p
+    for op in (operator.add, operator.sub, operator.mul):  # a foreign operand: Python's own TypeError
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(p, object())
 
 
 def test_hash_agrees_with_eq():

@@ -3,6 +3,8 @@ export lists, the guards of that surface, no unused import, and a source size
 kept within the ROADMAP's line budget."""
 
 import ast
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,7 +69,20 @@ _X = qvirial.particle_series(qvirial.UNDEFORMED, 3)
      errors.ZeroLinearCoefficientError, "revert needs the linear coefficient 1"),
     (lambda: qvirial.to_decimal(object(), 3), TypeError, "unsupported scalar type object"),
     (lambda: qvirial.eval_structure(object(), 3, qvirial.SURD), TypeError, "unknown structure function object"),
-], ids=["compose-backends", "series-times-int", "V_0", "V_K+1", "revert-non-monic", "to-decimal", "eval-structure"])
+    (lambda: qvirial.TruncPoly(-1), ValueError, "order must be nonnegative"),
+    (lambda: qvirial.TruncPoly(2, {-1: 1}), ValueError, "bad eps power -1"),
+    (lambda: qvirial.TruncPoly(2, {0: 1}) + Decimal(1), errors.MixedBackendError, "cannot mix TruncPoly with Decimal"),
+    (lambda: qvirial.TruncPoly(2, {0: 1}) * Decimal(1), errors.MixedBackendError, "cannot mix TruncPoly with Decimal"),
+    (lambda: qvirial.to_decimal(Fraction(1, 3), 0), ValueError, "digit budget must be >= 1"),
+    (lambda: qvirial.PowerSeries(qvirial.SURD, []), ValueError, "a series needs at least the constant coefficient"),
+    (lambda: qvirial.eval_structure(qvirial.UNDEFORMED, -1, qvirial.SURD), ValueError, "order must be nonnegative"),
+    (lambda: qvirial.eval_eps(-1, 2), ValueError, "n must be nonnegative"),
+    (lambda: qvirial.eval_eps(2, -1), ValueError, "order must be nonnegative"),
+    (lambda: qvirial.monomial_expansion(0, 1), ValueError, "orders must be >= 1"),
+], ids=["compose-backends", "series-times-int", "V_0", "V_K+1", "revert-non-monic", "to-decimal", "eval-structure",
+        "truncpoly-order", "truncpoly-power", "truncpoly-plus-decimal", "truncpoly-times-decimal",
+        "to-decimal-digits", "empty-series", "eval-structure-order", "eval-eps-n", "eval-eps-order",
+        "monomial-orders"])
 def test_public_guards_raise_their_own_errors(call, error, message):
     # the exact type and message, so that a deleted guard fails here rather than later
     with pytest.raises(Exception) as caught:

@@ -48,10 +48,14 @@ def test_second_interaction_term_at_two():
 
 
 def test_term_degrees():
-    split = hamiltonian_split(6)
+    # up to the CLI cap: NumberPoly._from_numerators relies on a nonzero top numerator
+    split = hamiltonian_split(100)
     assert len(split[0].coeffs) - 1 == 1
-    for i in range(1, 7):
+    for i in range(1, 101):
         assert len(split[i].coeffs) - 1 == i + 1
+    terms = two_param_split(100, 1)
+    for i in range(101):
+        assert len(terms[(i, 1)].coeffs) - 1 == i + 2
 
 
 def test_split_identity_polynomial():

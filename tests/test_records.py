@@ -1,6 +1,6 @@
 """The immutable value records: backends, structure functions and virial
 tables share one contract (equality, hashing, repr, immutability, validated
-replace)."""
+replace); the ring values pin their reprs and compare unequal to foreign objects."""
 
 import copy
 import pickle
@@ -11,12 +11,16 @@ import pytest
 from qvirial import (
     DecimalBackend,
     Interpolated,
+    NumberPoly,
+    PowerSeries,
     QBasic,
     QBasicOfQuadratic,
     QBasicSeries,
     Quadratic,
     QuadraticOfQBasic,
     SurdBackend,
+    SurdRational,
+    TruncPoly,
     TruncPolyBackend,
     particle_series,
     virial_coefficients,
@@ -29,7 +33,7 @@ def records():
     return [
         (SurdBackend(), "SurdBackend()"),
         (TruncPolyBackend(3), "TruncPolyBackend(order=3)"),
-        (DecimalBackend(), "DecimalBackend(digits=50)"),
+        (DecimalBackend(50), "DecimalBackend(digits=50)"),
         (sf, "QBasic(q=Fraction(3, 2))"),
         (Quadratic(Fraction(1, 4)), "Quadratic(mu=Fraction(1, 4))"),
         (QuadraticOfQBasic(Fraction(1, 3), Fraction(7, 5)), "QuadraticOfQBasic(mu=Fraction(1, 3), q=Fraction(7, 5))"),
@@ -71,8 +75,26 @@ def test_records_are_immutable(index):
         record.extra = 1
 
 
+def values():
+    """One instance of each value class that is not a record (no frozen fields), with its repr."""
+    return [
+        (SurdRational({1: Fraction(1, 2), 2: -3}), "SurdRational('1/2 - 3*sqrt(2)')"),
+        (TruncPoly(2, {0: 1, 2: SurdRational({3: Fraction(-1, 4)})}), "TruncPoly(2, '(1) + (-1/4*sqrt(3))*eps^2')"),
+        (NumberPoly([Fraction(1, 2), 1]), "NumberPoly('1/2 + 1*N')"),
+        (PowerSeries(TruncPolyBackend(2), [0, 1, 3]), "PowerSeries(truncpoly[eps<=2], K=2)"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=[type(value).__name__ for value, _ in values()])
+def test_values_have_a_pinned_repr_and_differ_from_foreign_objects(index):
+    value, text = values()[index]
+    assert repr(value) == text
+    # NotImplemented from both sides falls back to identity: False, not None or an error
+    assert (value == object()) is False and (value != object()) is True
+
+
 def test_records_of_different_classes_never_compare_equal():
-    assert DecimalBackend() == DecimalBackend(50) and hash(DecimalBackend()) == hash(DecimalBackend(50))
+    assert DecimalBackend(50) == DecimalBackend(50) and hash(DecimalBackend(50)) == hash(DecimalBackend(50))
     assert QBasic(2) != Quadratic(2)
     assert TruncPolyBackend(4) != QBasicSeries(4)  # the same field tuple, ("order",) = (4,)
     assert QBasic(2) != (Fraction(2),)
