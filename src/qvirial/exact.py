@@ -118,16 +118,10 @@ _RADICAND_PRODUCTS: dict[int, dict[int, tuple[int, int]]] = {}
 
 
 def _surd(num: dict[int, int], den: int) -> "SurdRational":
-    """The canonical sum_r num[r]*sqrt(r) / den for square-free r and den > 0;
-    `num` is the caller's fresh dict, which the result may keep."""
-    if len(num) > 1:  # one radicand needs no sorting
-        num = {r: n for r, n in sorted(num.items()) if n}
-    g = math.gcd(den, *num.values())
-    if g != 1 or 0 in num.values():
-        num = {r: n // g for r, n in num.items() if n}
-        den //= g
+    """The canonical sum_r num[r]*sqrt(r) / den for square-free r and den > 0."""
+    g = math.gcd(den, *num.values())  # zero numerators leave the gcd as it is
     out = object.__new__(SurdRational)
-    out._num, out._den = num, den
+    out._num, out._den = {r: n // g for r, n in sorted(num.items()) if n}, den // g
     return out
 
 
@@ -173,11 +167,6 @@ class SurdRational:
             other = SURD.from_fraction(other)
         if isinstance(other, SurdRational):
             d1, d2 = self._den, other._den
-            if d1 == d2:
-                num = dict(self._num)
-                for r, n in other._num.items():
-                    num[r] = num.get(r, 0) + n
-                return _surd(num, d1)
             g = math.gcd(d1, d2)
             s1, s2 = d2 // g, d1 // g
             num = {r: n * s1 for r, n in self._num.items()}
@@ -191,7 +180,7 @@ class SurdRational:
     __radd__ = __add__
 
     def __neg__(self) -> "SurdRational":
-        out = object.__new__(SurdRational)
+        out = object.__new__(SurdRational)  # negation keeps the canonical form: no _surd
         out._num, out._den = {r: -n for r, n in self._num.items()}, self._den
         return out
 

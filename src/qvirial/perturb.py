@@ -16,7 +16,7 @@ linearly), the exact expansion of (phi(N+1) + phi(N))/2 for
 phi = (1+mu)*[.]_q - mu*[.]_q**2 with [N]_q = sum_i eps**i * C(N, i+1): the
 shift is Pascal's rule C(N+1, i+1) = C(N, i+1) + C(N, i), and the square is
 one integer convolution of Stirling rows.  Coefficients stay integer
-numerators over one denominator until each becomes a Fraction, once, in a
+numerators over one denominator until each becomes a Fraction, once, for a
 NumberPoly: a value that compares, evaluates and renders, with no arithmetic.
 A split is its terms: a tuple by eps power, or a dict by (eps, mu) powers.
 """
@@ -43,17 +43,10 @@ class NumberPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()) -> None:
-        cleaned = [Fraction(c) for c in coeffs]
+        cleaned = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cleaned and not cleaned[-1]:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
-
-    @classmethod
-    def _from_numerators(cls, nums: Sequence[int], den: int) -> "NumberPoly":
-        """sum_k nums[k]*N**k / den for integers, each coefficient reduced once; nums[-1] != 0."""
-        out = object.__new__(cls)
-        out.coeffs = tuple(Fraction(c, den) for c in nums)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -100,8 +93,8 @@ def hamiltonian_split(order: int) -> tuple[NumberPoly, ...]:
         raise ValueError("order must be nonnegative")
     terms = []
     for i, row in enumerate(_stirling_rows(order)):  # row[k] = s(i, k)
-        nums = [(1 - i) * a + 2 * b for a, b in zip(row + [0], [0] + row)]
-        terms.append(NumberPoly._from_numerators(nums, 2 * math.factorial(i + 1)))
+        den = 2 * math.factorial(i + 1)
+        terms.append(NumberPoly([Fraction((1 - i) * a + 2 * b, den) for a, b in zip(row + [0], [0] + row)]))
     return tuple(terms)
 
 
@@ -134,5 +127,6 @@ def two_param_split(order_eps: int, order_mu: int) -> dict[tuple[int, int], Numb
                     for j, x in enumerate(left):
                         for k, y in enumerate(right):
                             row[j + k] -= weight * x * y
-            terms[(i, 1)] = NumberPoly._from_numerators(row, 2 * math.factorial(i + 2))
+            den = 2 * math.factorial(i + 2)
+            terms[(i, 1)] = NumberPoly([Fraction(n, den) for n in row])
     return terms

@@ -22,7 +22,7 @@ the blocks by Horner's rule in inner**m (Paterson & Stockmeyer, SIAM J.
 Comput. 2, 1973; Brent & Kung, J. ACM 25, 1978, section 2): at most m*K**2/2
 ring products build the baby powers and K**3/(6m) the giant steps, against
 K**3/6 for the power sum sum_j o_j * inner**j.  Up to order 16, `revert` is a
-triangular solve (Lagrange inversion, about K**3/6 products); above it, one
+triangular solve for the coefficients (about K**3/6 products); above it, one
 Newton step g - g'*(f(g) - x) doubles the order of the inverse of f's first
 half for one `compose` and one half-length product, exactly on exact backends.
 

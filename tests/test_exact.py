@@ -505,6 +505,11 @@ def test_integer_form_matches_fraction_reference(a_terms, b_terms, k):
         (k - a, rk - ra),
         (a * k, ra * k),
         (k * a, ra * k),
+        # equal denominators, and sums that cancel to zero
+        (a + a, ra + ra),
+        (a - a, ra - ra),
+        (a + (-a), ra + (-ra)),
+        (a * k + k * a, ra * k + ra * k),
     ]:
         _assert_matches(value, ref)
     if k:
@@ -566,12 +571,12 @@ def _pairs_st(elements):
 @settings(max_examples=120, deadline=None)
 def test_surd_dot_matches_operator_sum(pair):
     xs, ys = pair
-    value = SURD.dot(xs, ys)
-    assert value == _operator_sum(SURD.zero, xs, ys)
     # SurdRational * is a one-term dot, so the Fraction-per-term ring is the
-    # reference that shares no code with it
+    # reference that shares no code with it; both sums land on the canonical form
     ref_xs, ref_ys = ([FractionSurd(v.terms) for v in side] for side in pair)
-    _assert_matches(value, _operator_sum(FractionSurd(), ref_xs, ref_ys))
+    ref = _operator_sum(FractionSurd(), ref_xs, ref_ys)
+    _assert_matches(SURD.dot(xs, ys), ref)
+    _assert_matches(_operator_sum(SURD.zero, xs, ys), ref)
 
 
 def _fields(values):

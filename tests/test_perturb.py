@@ -48,7 +48,7 @@ def test_second_interaction_term_at_two():
 
 
 def test_term_degrees():
-    # up to the CLI cap: NumberPoly._from_numerators relies on a nonzero top numerator
+    # up to the CLI cap: no top numerator of a split term cancels to zero
     split = hamiltonian_split(100)
     assert len(split[0].coeffs) - 1 == 1
     for i in range(1, 101):
